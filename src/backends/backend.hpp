@@ -7,12 +7,15 @@
 //   - for_blocks(n, grain, cancel, body): run body(b, e, tid) over grain-
 //                  sized blocks covering [0, n), optionally cancellable.
 //
-// The four models mirror the paper's backends:
-//   seq          — GCC-SEQ baseline
-//   fork_join    — GNU/OpenMP static scheduling (+ NVC-OMP with a different
-//                  policy profile)
+// The CPU backends are one driver plus four chunk-claim strategies
+// (pool_backend.hpp over sched/claims.hpp), mirroring the paper's set:
+//   seq          — GCC-SEQ baseline (seq.hpp)
+//   fork_join    — static contiguous slices: GNU/OpenMP (+ NVC-OMP with a
+//                  different policy profile)
+//   omp_dynamic  — one shared chunk cursor (OpenMP schedule(dynamic))
 //   steal        — TBB-style work stealing with lazy binary splitting
 //   task_futures — HPX-style per-chunk tasks through a central queue
+// arena_nested.hpp serves calls nested inside another region.
 #pragma once
 
 #include <atomic>

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "backends/skeletons.hpp"
-#include "pstlb/fault.hpp"
 #include "sched/cancel.hpp"
 #include "sched/watchdog.hpp"
 #include "trace/trace.hpp"
@@ -180,79 +179,61 @@ void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
   // a value on success, POISONED on failure or drain.
   sched::cancel_source src;
   sched::watchdog::scope monitor(src, "scan");
+  // One ticket's protocol step. loop_context::execute_chunk wraps it with the
+  // fault hook, watchdog mark, exception capture, heartbeat and chunk span.
+  auto ticket_body = [&](index_t b, index_t e, unsigned) {
+    const index_t c = b / chunk;
+    auto& desc = chunks[static_cast<std::size_t>(c)];
+    if (c == 0) {
+      desc.prefix = fused_block(b, e, T{}, false);
+      desc.flag.store(detail::chunk_prefix, std::memory_order_release);
+      return;
+    }
+    auto& pred = chunks[static_cast<std::size_t>(c - 1)];
+    if (pred.flag.load(std::memory_order_acquire) == detail::chunk_prefix) {
+      // Fast path: the chain is already resolved up to our chunk — one
+      // fused pass reads each element exactly once. PREFIX is immutable
+      // once published, so the copy is race-free.
+      desc.prefix = fused_block(b, e, T{pred.prefix}, true);
+      desc.flag.store(detail::chunk_prefix, std::memory_order_release);
+      return;
+    }
+    // Decoupled protocol: publish the aggregate, look back for the carry,
+    // publish our prefix (successors unblock before any output is
+    // written), then rescan the — still cache-resident — chunk.
+    T agg = reduce_block(b, e);
+    desc.aggregate = agg;
+    desc.flag.store(detail::chunk_aggregate, std::memory_order_release);
+    const std::uint64_t lb0 = trace::span_begin();
+    std::optional<T> carry = detail::lookback_carry(chunks, c, combine, src);
+    trace::record_span(trace::pool_id::scan, trace::event_kind::lookback, lb0,
+                       static_cast<std::uint64_t>(c),
+                       trace::link_task(static_cast<std::uint64_t>(c)));
+    if (!carry.has_value()) {
+      // Broken chain (poisoned predecessor or cancellation): our own
+      // prefix is unknowable. Overwriting AGGREGATE with POISONED is
+      // fine — any successor that already consumed the aggregate will
+      // hit the same break further left and bail the same way.
+      desc.flag.store(detail::chunk_poisoned, std::memory_order_release);
+      return;
+    }
+    T carry_copy = *carry;  // carry seeds both our prefix and the rescan
+    desc.prefix = combine(std::move(carry_copy), std::move(agg));
+    desc.flag.store(detail::chunk_prefix, std::memory_order_release);
+    scan_block(b, e, std::move(*carry), true);
+  };
+  sched::loop_context ctx = make_loop_context(n, chunk, nullptr, ticket_body);
+  ctx.errors = &src;
+  ctx.name = "scan";
+  ctx.pool = trace::pool_id::scan;
   be.for_blocks(workers, 1, nullptr, [&](index_t, index_t, unsigned tid) {
-    sched::cancel_binding bind(&src);
-    for (;;) {
-      const index_t c = ticket.fetch_add(1, std::memory_order_relaxed);
-      if (c >= count) { return; }
-      auto& desc = chunks[static_cast<std::size_t>(c)];
-      if (src.cancelled()) {
-        desc.flag.store(detail::chunk_poisoned, std::memory_order_release);
-        continue;  // drain: claim and poison the remaining tickets
-      }
-      const index_t b = c * chunk;
-      const index_t e = b + chunk < n ? b + chunk : n;
-      const std::uint64_t elems = static_cast<std::uint64_t>(e - b);
-      sched::watchdog::chunk_mark mark("scan", tid, b, e);
-      try {
-        if (fault::armed()) { fault::on_chunk(b); }
-        if (src.cancelled()) {  // an injected stall may outlive a cancel
-          desc.flag.store(detail::chunk_poisoned, std::memory_order_release);
-          continue;
-        }
-        const std::uint64_t link =
-            trace::link_task(static_cast<std::uint64_t>(c));
-        if (c == 0) {
-          const std::uint64_t t0 = trace::span_begin();
-          desc.prefix = fused_block(b, e, T{}, false);
-          desc.flag.store(detail::chunk_prefix, std::memory_order_release);
-          trace::record_span(trace::pool_id::scan, trace::event_kind::chunk,
-                             t0, elems, link);
-          src.beat();
-          continue;
-        }
-        auto& pred = chunks[static_cast<std::size_t>(c - 1)];
-        if (pred.flag.load(std::memory_order_acquire) == detail::chunk_prefix) {
-          // Fast path: the chain is already resolved up to our chunk — one
-          // fused pass reads each element exactly once. PREFIX is immutable
-          // once published, so the copy is race-free.
-          const std::uint64_t t0 = trace::span_begin();
-          desc.prefix = fused_block(b, e, T{pred.prefix}, true);
-          desc.flag.store(detail::chunk_prefix, std::memory_order_release);
-          trace::record_span(trace::pool_id::scan, trace::event_kind::chunk,
-                             t0, elems, link);
-          src.beat();
-          continue;
-        }
-        // Decoupled protocol: publish the aggregate, look back for the carry,
-        // publish our prefix (successors unblock before any output is
-        // written), then rescan the — still cache-resident — chunk.
-        const std::uint64_t t0 = trace::span_begin();
-        T agg = reduce_block(b, e);
-        desc.aggregate = agg;
-        desc.flag.store(detail::chunk_aggregate, std::memory_order_release);
-        const std::uint64_t lb0 = trace::span_begin();
-        std::optional<T> carry = detail::lookback_carry(chunks, c, combine, src);
-        trace::record_span(trace::pool_id::scan, trace::event_kind::lookback,
-                           lb0, static_cast<std::uint64_t>(c), link);
-        if (!carry.has_value()) {
-          // Broken chain (poisoned predecessor or cancellation): our own
-          // prefix is unknowable. Overwriting AGGREGATE with POISONED is
-          // fine — any successor that already consumed the aggregate will
-          // hit the same break further left and bail the same way.
-          desc.flag.store(detail::chunk_poisoned, std::memory_order_release);
-          continue;
-        }
-        T carry_copy = *carry;  // carry seeds both our prefix and the rescan
-        desc.prefix = combine(std::move(carry_copy), std::move(agg));
-        desc.flag.store(detail::chunk_prefix, std::memory_order_release);
-        scan_block(b, e, std::move(*carry), true);
-        trace::record_span(trace::pool_id::scan, trace::event_kind::chunk, t0,
-                           elems, link);
-        src.beat();
-      } catch (...) {
-        src.capture_current();
-        desc.flag.store(detail::chunk_poisoned, std::memory_order_release);
+    for (index_t c = ticket.fetch_add(1, std::memory_order_relaxed); c < count;
+         c = ticket.fetch_add(1, std::memory_order_relaxed)) {
+      // A ticket skipped after a failure, or whose step threw, still
+      // publishes: POISONED unblocks successors spinning on it.
+      if (!ctx.execute_chunk(c, tid)) {
+        chunks[static_cast<std::size_t>(c)].flag.store(
+            detail::chunk_poisoned, std::memory_order_release);
       }
     }
   });

@@ -73,7 +73,14 @@ class first_touch_allocator {
     if (fault::armed()) { fault::on_alloc(bytes); }
     auto* raw = static_cast<std::byte*>(
         ::operator new(bytes, std::align_val_t{alignof(std::max_align_t)}));
-    parallel_first_touch(policy_, raw, bytes);
+    try {
+      parallel_first_touch(policy_, raw, bytes);
+    } catch (...) {
+      // The touch loop runs chunk boundaries, where PSTLB_FAULT=throw:<p>
+      // fires: free the block before the exception leaves allocate().
+      ::operator delete(raw, std::align_val_t{alignof(std::max_align_t)});
+      throw;
+    }
     unsigned touch_threads = 1;
     if constexpr (!exec::is_seq_policy_v<Policy>) { touch_threads = policy_.threads; }
     page_registry::instance().record(

@@ -18,20 +18,14 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <new>
-#include <optional>
-#include <system_error>
 #include <thread>
 #include <type_traits>
 
 #include "backends/arena_nested.hpp"
 #include "backends/backend.hpp"
-#include "backends/fork_join.hpp"
 #include "backends/nesting.hpp"
-#include "backends/omp_dynamic.hpp"
+#include "backends/pool_backend.hpp"
 #include "backends/seq.hpp"
-#include "backends/steal.hpp"
-#include "backends/task_futures.hpp"
 #include "pstlb/common.hpp"
 #include "sched/arena.hpp"
 #include "sched/locality.hpp"
@@ -296,6 +290,9 @@ decltype(auto) dispatch(const PolicyRef& policy, index_t n, SeqFn&& seq_fn,
     if (n < policy.seq_threshold || policy.threads <= 1 || n <= 1) {
       return seq_fn();
     }
+    const auto grain_for = [&](unsigned threads) {
+      return policy.grain > 0 ? policy.grain : backends::default_grain(n, threads);
+    };
     if (backends::in_parallel_region()) {
       // Inside another region the pools are off-limits (non-reentrant). A
       // first-level nested call inside an arena becomes arena tasks that the
@@ -304,43 +301,22 @@ decltype(auto) dispatch(const PolicyRef& policy, index_t n, SeqFn&& seq_fn,
       sched::arena* a = sched::arena::current();
       if (a != nullptr && a->cap() > 1 && backends::region_depth() <= 1) {
         const backends::arena_nested_backend nested(a);
-        const index_t grain = policy.grain > 0
-                                  ? policy.grain
-                                  : backends::default_grain(n, nested.threads());
-        return par_fn(nested, grain);
+        return par_fn(nested, grain_for(nested.threads()));
       }
       return seq_fn();
     }
     sched::arena* a = sched::arena::admission_target();
     if (a == nullptr) {  // PSTLB_ARENA=0: legacy ungated dispatch
-      auto backend = policy_traits<Policy>::make(policy);
-      const index_t grain = policy.grain > 0
-                                ? policy.grain
-                                : backends::default_grain(n, policy.threads);
-      return par_fn(backend, grain);
+      return par_fn(policy_traits<Policy>::make(policy), grain_for(policy.threads));
     }
     const sched::arena::ticket ticket = a->admit(policy.threads);
     if (!ticket.parallel()) { return seq_fn(); }
     sched::arena::scoped_bind bind(a);
     Policy capped = policy;
     capped.threads = ticket.granted();
-    // Backend construction can spawn pool workers (task_futures ensures its
-    // queue workers in the constructor). A spawn or allocation failure here
-    // degrades to the sequential path — graceful degradation, not an error.
-    std::optional<typename policy_traits<Policy>::backend_type> backend;
-    try {
-      backend.emplace(policy_traits<Policy>::make(capped));
-    } catch (const std::system_error&) {
-      sched::note_degradation(sched::shed_reason::spawnfail);
-      return seq_fn();
-    } catch (const std::bad_alloc&) {
-      sched::note_degradation(sched::shed_reason::oom);
-      return seq_fn();
-    }
-    const index_t grain = capped.grain > 0
-                              ? capped.grain
-                              : backends::default_grain(n, capped.threads);
-    return par_fn(*backend, grain);
+    // Backends are plain values; pools grow (and a failed spawn sheds to the
+    // sequential path) inside the backend's for_blocks.
+    return par_fn(policy_traits<Policy>::make(capped), grain_for(capped.threads));
   }
 }
 

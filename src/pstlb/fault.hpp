@@ -12,7 +12,7 @@
 //                partial-startup cleanup paths in the pools)
 //   spawnfail:<n> only the first n spawn attempts throw — models a transient
 //                EAGAIN storm that clears, driving the bounded-backoff spawn
-//                retry (sched/spawn_retry.hpp)
+//                retry (sched/worker_threads.cpp)
 //
 // Decisions are a pure hash of (PSTLB_FAULT_SEED, site index), so a failing
 // run replays identically: the same chunks throw, the same allocations fail.

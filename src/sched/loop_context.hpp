@@ -1,10 +1,12 @@
-// Shared loop descriptor executed by the dynamic schedulers.
+// Shared loop descriptor executed by every chunk-claim strategy
+// (sched/claims.hpp).
 //
 // Work items that travel through queues/deques are plain packed chunk ranges;
 // everything a chunk needs at execution time lives here. This keeps queue
 // items hardware-atomic-sized and avoids per-chunk closure allocation in the
 // steal scheduler (the futures scheduler allocates deliberately — that is the
-// HPX-like cost profile it models).
+// HPX-like cost profile it models). execute_chunk is the one place that runs
+// a chunk: fault hook, cancellation, watchdog mark, heartbeat, trace span.
 #pragma once
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include "pstlb/fault.hpp"
 #include "sched/cancel.hpp"
 #include "sched/watchdog.hpp"
+#include "trace/trace.hpp"
 
 namespace pstlb::sched {
 
@@ -36,6 +39,9 @@ struct loop_context {
   /// Pool label for watchdog diagnostics ("steal", "task_queue", ...).
   /// Must be a string literal.
   const char* name = "loop";
+  /// Trace pool of this loop's chunk spans; `none` records no chunk spans
+  /// (nested arena runs, which execute inside another region's chunk).
+  trace::pool_id pool = trace::pool_id::none;
   /// Optional placement map for locality-aware pools: chunk `c`'s data is
   /// expected on NUMA node `chunk_home(home_state, c)`. Consulted at seed
   /// time only — execution stays work-stealing, so a wrong map costs
@@ -72,6 +78,8 @@ struct loop_context {
       return true;
     }
     if (errors->cancelled()) { return false; }
+    const std::uint64_t t0 =
+        pool == trace::pool_id::none ? 0 : trace::span_begin();
     cancel_binding bind(errors);
     watchdog::chunk_mark mark(name, tid, begin, end);
     try {
@@ -85,6 +93,9 @@ struct loop_context {
       return false;
     }
     errors->beat();
+    trace::record_span(pool, trace::event_kind::chunk, t0,
+                       static_cast<std::uint64_t>(end - begin),
+                       trace::link_task(static_cast<std::uint64_t>(c)));
     return true;
   }
 };

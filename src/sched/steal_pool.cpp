@@ -1,6 +1,5 @@
 #include "sched/steal_pool.hpp"
 
-#include <algorithm>
 #include <thread>
 
 #include "pstlb/env.hpp"
@@ -69,6 +68,7 @@ void steal_pool::run(unsigned participants, const loop_context& ctx) {
   loop_context run_ctx = ctx;
   if (run_ctx.errors == nullptr) { run_ctx.errors = &errors; }
   run_ctx.name = "steal";
+  run_ctx.pool = trace::pool_id::steal;
 
   if (participants == 1 || chunks == 1) {
     watchdog::scope monitor(*run_ctx.errors, "steal");
@@ -210,25 +210,15 @@ void steal_pool::work(unsigned tid, unsigned nthreads) {
       trace::count_split(trace::pool_id::steal, trace::link_range(mid, end));
       end = mid;
     }
-    index_t eb = 0;
-    index_t ee = 0;
-    ctx.chunk_bounds(static_cast<index_t>(begin), eb, ee);
-    const std::uint64_t t0 = trace::span_begin();
     ctx.execute_chunk(static_cast<index_t>(begin), tid);
-    trace::record_span(trace::pool_id::steal, trace::event_kind::chunk, t0,
-                       static_cast<std::uint64_t>(ee - eb),
-                       trace::link_task(begin));
     remaining_.fetch_sub(1, std::memory_order_release);
   }
 }
 
 steal_pool& steal_pool::global() {
-  static steal_pool pool = [] {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned env = std::max(env_unsigned("PSTL_NUM_THREADS", 0),
-                                  env_unsigned("OMP_NUM_THREADS", 0));
-    return steal_pool(std::max({hw, env, 4u}) - 1);
-  }();
+  static steal_pool pool(0);  // built empty: see thread_pool::global()
+  static const unsigned initial = global_pool_workers() + 1;
+  pool.pool_.ensure(initial);
   return pool;
 }
 

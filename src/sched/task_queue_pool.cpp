@@ -1,10 +1,6 @@
 #include "sched/task_queue_pool.hpp"
 
-#include <algorithm>
-
-#include "counters/provider.hpp"
-#include "pstlb/fault.hpp"
-#include "sched/spawn_retry.hpp"
+#include "sched/thread_pool.hpp"
 #include "sched/watchdog.hpp"
 #include "trace/trace.hpp"
 
@@ -17,20 +13,13 @@ namespace {
 thread_local unsigned tls_slot = 0;
 }  // namespace
 
-task_queue_pool::task_queue_pool(unsigned workers) {
-  active_limit_ = ~0u;
-  workers_.reserve(workers);
+task_queue_pool::task_queue_pool(unsigned workers)
+    : workers_("task_queue", [this](unsigned slot) { worker_main(slot); }) {
   try {
-    for (unsigned i = 0; i < workers; ++i) {
-      spawn_with_retry([this, slot = i + 1] {
-        if (fault::armed()) { fault::on_spawn(); }
-        workers_.emplace_back([this, slot] { worker_main(slot); });
-      });
-    }
+    ensure(workers + 1);
   } catch (...) {
-    // Partial startup: join the started workers before the vector<thread>
-    // destructor can terminate on them (~task_queue_pool never runs when the
-    // constructor throws).
+    // Partial startup: join the started workers here — ~task_queue_pool never
+    // runs when the constructor throws.
     shutdown_and_join();
     throw;
   }
@@ -47,24 +36,11 @@ void task_queue_pool::shutdown_and_join() noexcept {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) { worker.join(); }
-  }
-  workers_.clear();
+  workers_.join_all();
 }
 
 void task_queue_pool::ensure(unsigned participants) {
-  std::lock_guard lock(mutex_);
-  const unsigned needed = participants == 0 ? 0 : participants - 1;
-  while (workers_.size() < needed) {
-    const unsigned slot = static_cast<unsigned>(workers_.size()) + 1;
-    // A persistent spawn failure (after the bounded retry) propagates with
-    // the pool intact (started workers stay).
-    spawn_with_retry([this, slot] {
-      if (fault::armed()) { fault::on_spawn(); }
-      workers_.emplace_back([this, slot] { worker_main(slot); });
-    });
-  }
+  workers_.grow(participants == 0 ? 0 : participants - 1);
 }
 
 void task_queue_pool::submit(std::function<void()> task, std::uint64_t link) {
@@ -102,9 +78,6 @@ bool task_queue_pool::run_one(std::unique_lock<std::mutex>& lock) {
 
 void task_queue_pool::worker_main(unsigned slot) {
   tls_slot = slot;
-  trace::set_thread_label("task_queue worker " + std::to_string(slot));
-  // Per-worker hardware-counter group (no-op for sim/native providers).
-  counters::attach_thread();
   std::unique_lock lock(mutex_);
   for (;;) {
     // Unlock around the timestamp: span_begin is cheap but there is no
@@ -112,16 +85,18 @@ void task_queue_pool::worker_main(unsigned slot) {
     lock.unlock();
     const std::uint64_t idle0 = trace::span_begin();
     lock.lock();
-    work_cv_.wait(lock, [this] {
-      return stopping_ || (!queue_.empty() && active_workers_ < active_limit_);
-    });
+    // Only slots below the run's participant count take its tasks, checked
+    // at wake-up and before every pop: a body's `tid` must stay below the
+    // slots its backend reported, whatever the pool has grown to since.
+    const auto may_run = [this, slot] {
+      return !queue_.empty() && slot < slot_limit_;
+    };
+    work_cv_.wait(lock, [&] { return stopping_ || may_run(); });
     if (stopping_) { return; }
     trace::record_span(trace::pool_id::task_queue, trace::event_kind::idle, idle0);
-    ++active_workers_;
-    while (!queue_.empty()) {
+    while (may_run()) {
       run_one(lock);
     }
-    --active_workers_;
   }
 }
 
@@ -137,6 +112,7 @@ void task_queue_pool::run(unsigned participants, const loop_context& ctx) {
   loop_context run_ctx = ctx;
   if (run_ctx.errors == nullptr) { run_ctx.errors = &errors; }
   run_ctx.name = "task_queue";
+  run_ctx.pool = trace::pool_id::task_queue;
 
   if (participants == 1 || chunks == 1) {
     watchdog::scope monitor(*run_ctx.errors, "task_queue");
@@ -150,7 +126,7 @@ void task_queue_pool::run(unsigned participants, const loop_context& ctx) {
   watchdog::scope monitor(*run_ctx.errors, "task_queue");
   {
     std::lock_guard lock(mutex_);
-    active_limit_ = participants - 1;  // the caller is the extra participant
+    slot_limit_ = participants;  // the caller is slot 0
   }
   // One heap-allocated task per chunk — the deliberate HPX-like cost profile.
   // A submit that throws mid-loop (task allocation failure) cancels the
@@ -159,31 +135,21 @@ void task_queue_pool::run(unsigned participants, const loop_context& ctx) {
   std::exception_ptr submit_error;
   try {
     for (index_t c = 0; c < chunks; ++c) {
-      const std::uint64_t link =
-          trace::link_task(static_cast<std::uint64_t>(c));
-      submit(
-          [&run_ctx, c, link] {
-            index_t b = 0;
-            index_t e = 0;
-            run_ctx.chunk_bounds(c, b, e);
-            const std::uint64_t t0 = trace::span_begin();
-            run_ctx.execute_chunk(c, tls_slot);
-            trace::record_span(trace::pool_id::task_queue,
-                               trace::event_kind::chunk, t0,
-                               static_cast<std::uint64_t>(e - b), link);
-          },
-          link);
+      submit([&run_ctx, c] { run_ctx.execute_chunk(c, tls_slot); },
+             trace::link_task(static_cast<std::uint64_t>(c)));
     }
   } catch (...) {
     submit_error = std::current_exception();
     run_ctx.errors->cancel();
   }
+  // submit()'s notify_one may have woken a worker outside this run's slots.
+  work_cv_.notify_all();
   // The caller participates by draining the queue, then waits for stragglers.
   {
     std::unique_lock lock(mutex_);
     while (run_one(lock)) {}
     done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-    active_limit_ = ~0u;
+    slot_limit_ = ~0u;
   }
   work_cv_.notify_all();
   if (submit_error != nullptr) { std::rethrow_exception(submit_error); }
@@ -191,12 +157,9 @@ void task_queue_pool::run(unsigned participants, const loop_context& ctx) {
 }
 
 task_queue_pool& task_queue_pool::global() {
-  static task_queue_pool pool = [] {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned env = std::max(env_unsigned("PSTL_NUM_THREADS", 0),
-                                  env_unsigned("OMP_NUM_THREADS", 0));
-    return task_queue_pool(std::max({hw, env, 4u}) - 1);
-  }();
+  static task_queue_pool pool(0);  // built empty: see thread_pool::global()
+  static const unsigned initial = global_pool_workers() + 1;
+  pool.ensure(initial);
   return pool;
 }
 

@@ -13,11 +13,10 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
-#include <vector>
 
-#include "sched/loop_context.hpp"
 #include "pstlb/common.hpp"
+#include "sched/loop_context.hpp"
+#include "sched/worker_threads.hpp"
 
 namespace pstlb::sched {
 
@@ -31,7 +30,8 @@ class task_queue_pool {
 
   /// Runs `ctx` over [0, ctx.n): one task per chunk through the central
   /// queue. The caller drains the queue too, then blocks until all chunks
-  /// finished. `participants` bounds how many pool workers join in.
+  /// finished. Only the caller (slot 0) and workers of slots
+  /// 1..participants-1 run the loop's tasks, so bodies see tid < participants.
   void run(unsigned participants, const loop_context& ctx);
 
   /// Generic task submission; pair with wait_all() to join. Tasks must not
@@ -41,12 +41,10 @@ class task_queue_pool {
   void submit(std::function<void()> task, std::uint64_t link = 0);
   void wait_all();
 
+  /// Grows the pool to `participants - 1` workers, which hold stable slots
+  /// 1..N (see worker_threads::grow).
   void ensure(unsigned participants);
-  unsigned worker_count() const noexcept { return static_cast<unsigned>(workers_.size()); }
-
-  /// Upper bound (exclusive) of the `tid` values passed to loop bodies.
-  /// Slot 0 is the calling thread; pool workers hold stable slots 1..N.
-  unsigned slot_count() const noexcept { return worker_count() + 1; }
+  unsigned worker_count() const { return workers_.size(); }
 
   static task_queue_pool& global();
 
@@ -59,16 +57,15 @@ class task_queue_pool {
   bool run_one(std::unique_lock<std::mutex>& lock);
   void shutdown_and_join() noexcept;
 
-  std::vector<std::thread> workers_;
   std::mutex run_mutex_;  // serializes run() callers
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::deque<task_node*> queue_;  // guarded by mutex_
   std::size_t in_flight_ = 0;     // queued + executing
-  unsigned active_limit_ = 0;     // how many workers may run tasks right now
-  unsigned active_workers_ = 0;
+  unsigned slot_limit_ = ~0u;     // slots >= this may not take tasks
   bool stopping_ = false;
+  worker_threads workers_;  // last: the workers use every member above
 };
 
 }  // namespace pstlb::sched

@@ -2,28 +2,22 @@
 
 #include <algorithm>
 #include <optional>
+#include <thread>
 
-#include "counters/provider.hpp"
-#include "pstlb/fault.hpp"
-#include "sched/spawn_retry.hpp"
 #include "sched/watchdog.hpp"
 
 namespace pstlb::sched {
 
 thread_pool::thread_pool(unsigned workers, std::string name, trace::pool_id pool)
-    : name_(std::move(name)), trace_pool_(pool) {
-  workers_.reserve(workers);
+    : name_(std::move(name)),
+      trace_pool_(pool),
+      workers_(name_, [this](unsigned tid) { worker_main(tid); }) {
   try {
-    for (unsigned tid = 1; tid <= workers; ++tid) {
-      spawn_with_retry([this, tid] {
-        if (fault::armed()) { fault::on_spawn(); }
-        workers_.emplace_back([this, tid] { worker_main(tid); });
-      });
-    }
+    ensure(workers + 1);
   } catch (...) {
-    // Partial startup: the members are destroyed but ~thread_pool never runs,
-    // so the started workers must be stopped and joined here — otherwise the
-    // vector<thread> destructor terminates on the joinable threads.
+    // Partial startup: ~thread_pool never runs, so the started workers must
+    // be stopped and joined here — a joinable std::thread terminates when
+    // destroyed.
     shutdown_and_join();
     throw;
   }
@@ -37,26 +31,12 @@ void thread_pool::shutdown_and_join() noexcept {
     stopping_ = true;
   }
   start_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) { worker.join(); }
-  }
-  workers_.clear();
+  workers_.join_all();
 }
 
 void thread_pool::ensure(unsigned threads) {
-  std::lock_guard lock(mutex_);
   // Participants = caller + workers, so `threads` needs `threads - 1` workers.
-  const unsigned needed = threads == 0 ? 0 : threads - 1;
-  while (workers_.size() < needed) {
-    const unsigned tid = static_cast<unsigned>(workers_.size()) + 1;
-    // A persistent spawn failure (after the bounded retry) propagates with
-    // the pool intact: workers already in the vector keep running and are
-    // joined by the destructor.
-    spawn_with_retry([this, tid] {
-      if (fault::armed()) { fault::on_spawn(); }
-      workers_.emplace_back([this, tid] { worker_main(tid); });
-    });
-  }
+  workers_.grow(threads == 0 ? 0 : threads - 1);
 }
 
 void thread_pool::run(unsigned threads, const region_fn& fn, cancel_source* errors) {
@@ -105,10 +85,6 @@ void thread_pool::run(unsigned threads, const region_fn& fn, cancel_source* erro
 }
 
 void thread_pool::worker_main(unsigned tid) {
-  trace::set_thread_label(name_ + " worker " + std::to_string(tid));
-  // Hardware-counter providers measure per thread: open this worker's event
-  // group before it can execute any region work (no-op for sim/native).
-  counters::attach_thread();
   std::uint64_t seen_epoch = 0;
   for (;;) {
     const region_fn* job = nullptr;
@@ -148,13 +124,17 @@ void thread_pool::worker_main(unsigned tid) {
   }
 }
 
+unsigned global_pool_workers() {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned env = std::max(env_unsigned("PSTL_NUM_THREADS", 0),
+                                env_unsigned("OMP_NUM_THREADS", 0));
+  return std::max({hw, env, 4u}) - 1;
+}
+
 thread_pool& thread_pool::global() {
-  static thread_pool pool = [] {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned env = std::max(env_unsigned("PSTL_NUM_THREADS", 0),
-                                  env_unsigned("OMP_NUM_THREADS", 0));
-    return thread_pool(std::max({hw, env, 4u}) - 1);
-  }();
+  static thread_pool pool(0);
+  static const unsigned initial = global_pool_workers() + 1;
+  pool.ensure(initial);
   return pool;
 }
 

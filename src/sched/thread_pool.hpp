@@ -13,11 +13,10 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "pstlb/common.hpp"
 #include "sched/cancel.hpp"
+#include "sched/worker_threads.hpp"
 #include "trace/trace.hpp"
 
 namespace pstlb::sched {
@@ -45,11 +44,12 @@ class thread_pool {
   thread_pool& operator=(const thread_pool&) = delete;
 
   /// Number of pool workers (excludes the caller, which always participates).
-  unsigned worker_count() const noexcept { return static_cast<unsigned>(workers_.size()); }
+  unsigned worker_count() const { return workers_.size(); }
 
   /// Grows the pool so that regions of `threads` participants are possible.
   /// Strong guarantee on spawn failure: successfully-started workers stay in
-  /// the pool and the std::system_error propagates.
+  /// the pool and the std::system_error propagates. Either way every started
+  /// worker has registered its trace ring when this returns.
   void ensure(unsigned threads);
 
   /// Runs `fn(tid, threads)` on `threads` participants and waits for all.
@@ -62,9 +62,11 @@ class thread_pool {
   /// function does.
   void run(unsigned threads, const region_fn& fn, cancel_source* errors = nullptr);
 
-  /// Process-wide pool shared by all fork_join policies. Initial size is
-  /// max(hardware_concurrency, PSTL_NUM_THREADS, OMP_NUM_THREADS); it grows
-  /// on demand when a policy requests more participants.
+  /// Process-wide pool shared by the fork_join and omp_dynamic claims.
+  /// Sized to global_pool_workers() on first use and grown on demand when a
+  /// policy requests more participants. The static is built empty, so its
+  /// initialization cannot throw; a spawn failure surfaces from this call
+  /// (every call until the pool is sized) instead.
   static thread_pool& global();
 
  private:
@@ -75,8 +77,6 @@ class thread_pool {
 
   std::string name_;             // immutable after construction
   trace::pool_id trace_pool_;    // immutable after construction
-  std::vector<std::thread> workers_;
-
   std::mutex region_mutex_;  // serializes concurrent run() callers
   std::mutex mutex_;
   std::condition_variable start_cv_;
@@ -87,6 +87,11 @@ class thread_pool {
   std::uint64_t epoch_ = 0;          // bumped per region
   unsigned remaining_ = 0;           // workers still inside the region
   bool stopping_ = false;
+  worker_threads workers_;  // last: the workers use every member above
 };
+
+/// Initial worker count of every process-wide pool: max(hardware threads,
+/// PSTL_NUM_THREADS, OMP_NUM_THREADS, 4) participants minus the caller.
+unsigned global_pool_workers();
 
 }  // namespace pstlb::sched

@@ -74,7 +74,8 @@ const gpu& mach_e();      // NVIDIA Ampere A2
 
 /// Future-work preview (Section 6 suggests extending to ARM): an Ampere
 /// Altra Q80-30-class single-socket 80-core Neoverse-N1 machine. Not part
-/// of the paper's evaluation; used by bench/ext_arm_preview.
+/// of the paper's evaluation; the single-NUMA-domain point of
+/// bench/abl_numa_gamma and the sim locality tests.
 const machine& mach_f();
 
 /// The three CPU machines in paper order (A, B, C).

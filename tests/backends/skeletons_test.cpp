@@ -14,14 +14,12 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
-#include "backends/fork_join.hpp"
-#include "backends/omp_dynamic.hpp"
+#include "backends/pool_backend.hpp"
 #include "backends/scan_lookback.hpp"
 #include "backends/seq.hpp"
-#include "backends/steal.hpp"
-#include "backends/task_futures.hpp"
 
 namespace pstlb::backends {
 namespace {
@@ -58,10 +56,19 @@ TYPED_TEST(SkeletonTest, ForCoversRangeOnce) {
 TYPED_TEST(SkeletonTest, ForTidStaysBelowSlots) {
   auto backend = this->make();
   const unsigned slots = backend.slots();
+  // Grow the backend's process-wide pool past the recorded slot count
+  // first: workers that exist only since then must still never see a
+  // tid >= slots.
+  if constexpr (std::is_constructible_v<TypeParam, unsigned>) {
+    parallel_for(TypeParam(slots + 4), index_t{1024}, index_t{16},
+                 [](index_t, index_t, unsigned) {});
+  }
   std::atomic<bool> bad{false};
   parallel_for(backend, index_t{10000}, index_t{16},
                [&](index_t, index_t, unsigned tid) {
                  if (tid >= slots) { bad.store(true); }
+                 // Keep chunks slow enough that every worker gets some.
+                 std::this_thread::sleep_for(std::chrono::microseconds(10));
                });
   EXPECT_FALSE(bad.load());
 }

@@ -164,6 +164,9 @@ TEST_F(ArenaStress, SpawnFailureShedsGracefullyWithObservableCounter) {
       pstlb::exec::fork_join_policy fork{512};
       fork.seq_threshold = 0;
       failures += run_mix(fork, u);
+      pstlb::exec::task_policy task{512};
+      task.seq_threshold = 0;
+      failures += run_mix(task, u);
     });
   }
   for (auto& user : users) { user.join(); }

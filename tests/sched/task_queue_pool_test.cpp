@@ -44,8 +44,10 @@ TEST(TaskQueuePool, LoopCoversEveryIndexOnce) {
 }
 
 TEST(TaskQueuePool, SlotsAreUniquePerConcurrentWorker) {
-  task_queue_pool pool(3);
-  const unsigned slots = pool.slot_count();
+  // More workers than participants: only slots below the participant count
+  // may run the loop's chunks.
+  task_queue_pool pool(6);
+  const unsigned slots = 4;
   // Track concurrent occupancy per slot: never two chunks in the same slot
   // at the same time (the invariant reductions rely on).
   std::vector<std::atomic<int>> occupancy(slots);
@@ -62,13 +64,16 @@ TEST(TaskQueuePool, SlotsAreUniquePerConcurrentWorker) {
   ctx.state = &state;
   ctx.run = [](void* raw, index_t, index_t, unsigned tid) {
     auto& s = *static_cast<state_t*>(raw);
-    if ((*s.occupancy)[tid].fetch_add(1) != 0) { s.collision->store(true); }
+    if (tid >= 4 || (*s.occupancy)[tid].fetch_add(1) != 0) {
+      s.collision->store(true);
+      return;
+    }
     // small busy wait to widen the race window
     std::atomic<int> spin{0};
     while (spin.fetch_add(1, std::memory_order_relaxed) < 50) {}
     (*s.occupancy)[tid].fetch_sub(1);
   };
-  pool.run(4, ctx);
+  pool.run(slots, ctx);
   EXPECT_FALSE(collision.load());
 }
 

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "backends/fork_join.hpp"
+#include "backends/pool_backend.hpp"
 #include "counters/counters.hpp"
 #include "pstlb/pstlb.hpp"
 #include "sched/steal_pool.hpp"

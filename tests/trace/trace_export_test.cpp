@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "backends/fork_join.hpp"
+#include "backends/pool_backend.hpp"
 #include "trace/sched_metrics.hpp"
 #include "trace/trace.hpp"
 
