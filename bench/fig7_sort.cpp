@@ -56,10 +56,10 @@ std::string passes_label(const detail::sort_traffic_stats& s) {
 
 void print_native_sort_comparison(std::ostream& os) {
   // 2^26 is the paper's beyond-LLC regime and the size the samplesort
-  // acceptance criterion targets; PSTLB_FIG7_NATIVE_LOG2 trims it for quick
-  // runs on small hosts.
-  const unsigned max_log2 = env::unsigned_or("PSTLB_FIG7_NATIVE_LOG2", 26);
-  const int reps = static_cast<int>(env::unsigned_or("PSTLB_FIG7_NATIVE_REPS", 3));
+  // acceptance criterion targets; PSTLB_NATIVE_LOG2 trims it for quick runs
+  // on small hosts.
+  const unsigned max_log2 = env::unsigned_or("PSTLB_NATIVE_LOG2", 26);
+  const int reps = static_cast<int>(env::unsigned_or("PSTLB_NATIVE_REPS", 3));
   table t("Figure 7 (native, this host): X::sort mergesort vs samplesort "
           "pipeline [steal backend]");
   t.set_header({"size", "threads", "merge [s]", "sample [s]", "speedup",

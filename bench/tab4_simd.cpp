@@ -9,11 +9,11 @@
 //
 // Native leg (this host): forces each compiled+detected ISA level in turn
 // and times pstlb::reduce and binary pstlb::transform (std::plus) under the
-// unseq policy at 2^24 doubles (PSTLB_TAB4_SIMD_LOG2 overrides). The
-// avx2-vs-scalar single-thread reduce/transform speedup is checked against
-// the 1.5x acceptance bar warn-only — DRAM-bound transform legitimately
-// lands near 1x on bandwidth-starved hosts; the deterministic sim leg is
-// the hard gate.
+// unseq policy at 2^24 doubles, best of 5 (PSTLB_NATIVE_LOG2 and
+// PSTLB_NATIVE_REPS override). The avx2-vs-scalar single-thread
+// reduce/transform speedup is checked against the 1.5x acceptance bar
+// warn-only — DRAM-bound transform legitimately lands near 1x on
+// bandwidth-starved hosts; the deterministic sim leg is the hard gate.
 #include "common.hpp"
 
 #include <cstdio>
@@ -116,9 +116,9 @@ void sim_report(std::ostream& os) {
 }
 
 void native_report(std::ostream& os) {
-  const unsigned log2n = env::unsigned_or("PSTLB_TAB4_SIMD_LOG2", 24);
+  const unsigned log2n = env::unsigned_or("PSTLB_NATIVE_LOG2", 24);
   const index_t n = index_t{1} << log2n;
-  constexpr int kReps = 5;
+  const int reps = static_cast<int>(env::unsigned_or("PSTLB_NATIVE_REPS", 5));
   std::vector<double> a(static_cast<std::size_t>(n));
   std::vector<double> b(static_cast<std::size_t>(n));
   std::vector<double> out(static_cast<std::size_t>(n));
@@ -142,13 +142,13 @@ void native_report(std::ostream& os) {
     isa_row r;
     r.level = level;
     double sink = 0;
-    auto red = run_reps("tab4_simd/reduce", kReps, [] {}, [&] {
+    auto red = run_reps("tab4_simd/reduce", reps, [] {}, [&] {
       sink += pstlb::reduce(execution::unseq, a.begin(), a.end());
     });
     benchmark::DoNotOptimize(sink);
     r.reduce_s = red.best.seconds;
     r.reduce_samples = std::move(red.samples);
-    auto tra = run_reps("tab4_simd/transform", kReps, [] {}, [&] {
+    auto tra = run_reps("tab4_simd/transform", reps, [] {}, [&] {
       pstlb::transform(execution::unseq, a.begin(), a.end(), b.begin(),
                        out.begin(), std::plus<>{});
     });
@@ -161,7 +161,7 @@ void native_report(std::ostream& os) {
 
   table t("Tab. 4 companion (native, this host): unseq reduce / binary "
           "transform, n=2^" + std::to_string(log2n) + " doubles, 1 thread, " +
-          std::to_string(kReps) + " reps (best)");
+          std::to_string(reps) + " reps (best)");
   t.set_header({"isa", "reduce s", "reduce GiB/s", "speedup", "transform s",
                 "transform GiB/s", "speedup"});
   const double red_bytes = static_cast<double>(n) * sizeof(double);

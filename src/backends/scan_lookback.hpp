@@ -122,11 +122,12 @@ std::optional<T> lookback_carry(std::vector<chunk_descriptor<T>>& chunks,
 }  // namespace detail
 
 /// Chunk size for the lookback skeletons: ~64 chunks per participant for
-/// balance, floored at the configurable min chunk (PSTLB_SCAN_CHUNK) so
-/// descriptor traffic stays negligible, and capped at 2^15 elements so the
-/// in-chunk re-read stays cache-resident (2^15 * 8 B = 256 KiB <= L2).
+/// balance, floored at the min chunk (default_scan_min_chunk unless the
+/// caller passes one) so descriptor traffic stays negligible, and capped at
+/// 2^15 elements so the in-chunk re-read stays cache-resident
+/// (2^15 * 8 B = 256 KiB <= L2).
 inline index_t lookback_chunk_size(index_t n, unsigned threads,
-                                   index_t min_chunk = default_scan_min_chunk()) {
+                                   index_t min_chunk = default_scan_min_chunk) {
   const index_t target_chunks = static_cast<index_t>(threads) * 64;
   index_t chunk = ceil_div(n, target_chunks > 0 ? target_chunks : 1);
   if (chunk < min_chunk) { chunk = min_chunk; }
@@ -148,7 +149,7 @@ inline index_t lookback_chunk_size(index_t n, unsigned threads,
 ///   combine(T, T) -> T                    : the scan operation
 /// T must be movable, copyable and default-constructible (descriptor
 /// storage). `min_chunk` overrides the chunk floor (tests use tiny chunks
-/// to force deep lookbacks); 0 means the configured default.
+/// to force deep lookbacks); 0 means default_scan_min_chunk.
 /// `final_prefix`, when non-null, receives the inclusive prefix of the whole
 /// range (the pack skeleton's total).
 template <Backend B, class T, class Combine, class ReduceBlock, class ScanBlock,
@@ -160,7 +161,7 @@ void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
                       T* final_prefix = nullptr) {
   if (n <= 0) { return; }
   const index_t chunk = lookback_chunk_size(
-      n, be.threads(), min_chunk > 0 ? min_chunk : default_scan_min_chunk());
+      n, be.threads(), min_chunk > 0 ? min_chunk : default_scan_min_chunk);
   const index_t count = ceil_div(n, chunk);
   if (count <= 1 || be.threads() == 1) {
     T total = fused_block(index_t{0}, n, T{}, false);

@@ -63,8 +63,8 @@ struct sample_result {
 
 /// Run-level provenance envelope. `comparable_native()` additionally
 /// requires hostname + topology agreement; knob agreement is required for
-/// everything (a PSTLB_SORT_BUCKET_CAP override changes sim and native
-/// results alike).
+/// everything (a PSTLB_SIMD cap changes native results, a PSTLB_TOPOLOGY
+/// spec changes sim and native results alike).
 struct run_envelope {
   int version = schema_version;
   std::string suite;     // producing binary, e.g. "tab5_speedup_summary"
@@ -74,8 +74,8 @@ struct run_envelope {
   std::string provider;  // active counters provider label
   std::uint64_t unix_time = 0;  // informational; never part of comparability
   /// Every set PSTLB_* knob, name -> value, sorted by name. Output-path-only
-  /// knobs (PSTLB_BENCH_JSON, PSTLB_TRACE_FILE, PSTLB_STATS_FILE,
-  /// PSTLB_STATS_BUDGET_NS) are excluded — they cannot change measurements.
+  /// knobs (PSTLB_BENCH_JSON, PSTLB_TRACE_FILE, PSTLB_STATS_FILE) are
+  /// excluded — they cannot change measurements.
   std::vector<std::pair<std::string, std::string>> knobs;
 };
 

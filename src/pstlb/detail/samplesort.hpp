@@ -108,29 +108,22 @@ struct samplesort_bucket_homes {
   }
 };
 
-/// Samplesort tunables, resolved once per sort from the env registry.
+/// Samplesort tunables. The defaults serve every caller; tests pass smaller
+/// values to parallel_samplesort to force the recursion paths.
 struct samplesort_params {
   /// Elements per bucket above which a bucket is recursed (and below which
-  /// its sort is assumed cache-resident). PSTLB_SORT_BUCKET_CAP.
+  /// its sort is assumed cache-resident). At least 32.
   index_t bucket_cap = index_t{1} << 15;
-  /// Samples per splitter. PSTLB_SORT_OVERSAMPLE.
+  /// Samples per splitter. At least 4.
   index_t oversample = 32;
   /// par_unseq bit from the caller's policy: classify through the SIMD
   /// splitter-search kernel (vectorized upper_bound) when type/comparator
   /// eligibility and the active ISA allow it.
   bool vector_classify = false;
 
-  static samplesort_params from_env() {
-    samplesort_params p;
-    p.bucket_cap = static_cast<index_t>(
-        env::unsigned_or("PSTLB_SORT_BUCKET_CAP",
-                         static_cast<unsigned>(p.bucket_cap)));
-    if (p.bucket_cap < 32) { p.bucket_cap = 32; }
-    p.oversample = static_cast<index_t>(env::unsigned_or(
-        "PSTLB_SORT_OVERSAMPLE", static_cast<unsigned>(p.oversample)));
-    if (p.oversample < 4) { p.oversample = 4; }
-    return p;
-  }
+  /// The defaults; reads no environment. perfbench/src/probes.hpp calls
+  /// this name.
+  static samplesort_params from_env() { return {}; }
 };
 
 /// splitmix64 over a fixed seed: splitter sampling is deterministic, so a
@@ -492,9 +485,9 @@ void samplesort_segment(const B& be, SrcIt src, TmpIt tmp, index_t n,
 template <bool Stable, backends::Backend B, class Policy, class It,
           class Compare>
 bool parallel_samplesort(const B& be, const Policy& policy, It first,
-                         index_t n, Compare comp) {
+                         index_t n, Compare comp,
+                         samplesort_params params = {}) {
   using T = typename std::iterator_traits<It>::value_type;
-  samplesort_params params = samplesort_params::from_env();
   if constexpr (requires { policy.unseq; }) {
     params.vector_classify = policy.unseq;
   }

@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
-
-#include "pstlb/common.hpp"
 
 extern "C" char** environ;
 
 namespace pstlb::env {
 
 unsigned unsigned_or(const char* name, unsigned fallback) {
-  return env_unsigned(name, fallback);
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') { return fallback; }
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(raw, &end, 10);
+  if (end == raw || value == 0 || value > 1u << 20) { return fallback; }
+  return static_cast<unsigned>(value);
 }
 
 bool truthy(const char* name) {
@@ -34,38 +38,25 @@ std::string string_or(const char* name, std::string_view fallback) {
 const std::vector<std::string_view>& known_vars() {
   static const std::vector<std::string_view> vars = {
       "PSTLB_ANALYZE",            // run the scalability advisor at exit
-      "PSTLB_ARENA",              // 0 disables arena admission control
       "PSTLB_ARENA_CAP",          // default arena max concurrent workers
       "PSTLB_ARENA_DEADLINE_MS",  // admission wait deadline (0 = wait forever)
       "PSTLB_ARENA_MAX_PENDING",  // admission queue bound before shedding
       "PSTLB_BENCH_JSON",         // canonical bench-result export: file or dir
       "PSTLB_COUNTERS",           // counter provider: sim | native | perf
-      "PSTLB_COUNTER_SAMPLE_MS",  // perf counter-track sample period
-      "PSTLB_CSV",                // benches also print CSV tables
       "PSTLB_FAULT",              // fault injection: throw:<p>|oom:<p>|stall:<ms>|spawnfail[:<n>]
       "PSTLB_FAULT_SEED",         // fault injection: deterministic draw seed
-      "PSTLB_FIG5_NATIVE_LOG2",   // fig5 native sweep: max log2 size
-      "PSTLB_FIG5_NATIVE_REPS",   // fig5 native sweep: repetitions
-      "PSTLB_FIG7_NATIVE_LOG2",   // fig7 native sort sweep: max log2 size
-      "PSTLB_FIG7_NATIVE_REPS",   // fig7 native sort sweep: repetitions
+      "PSTLB_NATIVE_LOG2",        // fig5/fig7/tab4_simd native legs: log2 size
+      "PSTLB_NATIVE_REPS",        // fig5/fig7/tab4_simd native legs: repetitions
       "PSTLB_NUMA_SCATTER",       // 0 disables node-affine samplesort scatter
-      "PSTLB_SCAN_CHUNK",         // scan skeleton: min elements per chunk
-      "PSTLB_SCAN_OVERSUB",       // scan skeleton: chunks per slot
       "PSTLB_SIMD",               // leaf ISA cap: auto|scalar|sse2|avx2|avx512
       "PSTLB_SIMD_VERBOSE",       // print the selected-ISA report line
-      "PSTLB_SORT",               // sort pipeline override: sample | merge
-      "PSTLB_SORT_BUCKET_CAP",    // samplesort: target max bucket elements
-      "PSTLB_SORT_OVERSAMPLE",    // samplesort: splitter oversampling factor
       "PSTLB_SRV_ARRIVAL",        // srv_throughput: open:<rate> open-loop mode
       "PSTLB_STATS",              // per-call latency stats registry on/off
-      "PSTLB_STATS_BUDGET_NS",    // stats-overhead microbench ns/call budget
       "PSTLB_STATS_FILE",         // stats registry JSON export path
       "PSTLB_STEAL_LOCALITY",     // 0 disables locality-first steal ordering
-      "PSTLB_TAB4_SIMD_LOG2",     // tab4_simd native leg: log2 input size
       "PSTLB_TOPOLOGY",           // auto | flat | NxLxC[xS] synthetic spec
       "PSTLB_TRACE",              // scheduler tracing on/off
       "PSTLB_TRACE_FILE",         // Chrome-trace/Perfetto JSON export path
-      "PSTLB_TRACE_RING",         // per-thread event-ring capacity
       "PSTLB_WATCHDOG_EXIT",      // 0 disables the watchdog hard-exit rung
       "PSTLB_WATCHDOG_MS",        // hang watchdog stall interval (0 = off)
   };

@@ -1,8 +1,10 @@
 // Central registry for the library's PSTLB_* environment knobs.
 //
-// Every runtime toggle (tracing, counters provider, scan chunking, CSV
-// output, ...) is read through these accessors so that one table — mirrored
-// in README.md "Environment variables" — stays the single source of truth.
+// Every runtime toggle (tracing, counters provider, arena limits, fault
+// injection, ...) is read through these accessors so that one table —
+// mirrored in README.md "Environment variables" — stays the single source of
+// truth. Each knob must feed a CI gate, a paper figure/table or a documented
+// operator need (DESIGN.md "Knob policy").
 // A typo like PSTLB_TRCE silently doing nothing is the classic observability
 // foot-gun; warn_unknown_once() scans the process environment for
 // PSTLB_-prefixed names missing from the table and prints one warning per
@@ -16,7 +18,8 @@
 
 namespace pstlb::env {
 
-/// Positive-integer knob; `fallback` when unset, empty, or unparsable.
+/// Positive-integer knob; `fallback` when unset, empty, unparsable, zero or
+/// above 2^20. Also reads PSTL_NUM_THREADS / OMP_NUM_THREADS.
 unsigned unsigned_or(const char* name, unsigned fallback);
 
 /// Boolean knob: set, non-empty, and not "0".
@@ -30,8 +33,9 @@ bool enabled_or(const char* name, bool fallback);
 /// String knob; `fallback` when unset or empty.
 std::string string_or(const char* name, std::string_view fallback);
 
-/// Every documented PSTLB_* variable, alphabetical. Tests assert this list
-/// matches the README table.
+/// Every documented PSTLB_* variable, alphabetical. tests/pstlb/env_test.cpp
+/// asserts this list equals the README table and covers every PSTLB_*
+/// literal under src/ and bench/.
 const std::vector<std::string_view>& known_vars();
 
 struct unknown_var {

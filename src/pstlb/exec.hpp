@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <thread>
 #include <type_traits>
 
 #include "backends/arena_nested.hpp"
@@ -29,17 +28,14 @@
 #include "pstlb/common.hpp"
 #include "sched/arena.hpp"
 #include "sched/locality.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace pstlb::exec {
 
 /// Thread count used when a policy does not specify one: PSTL_NUM_THREADS,
-/// then OMP_NUM_THREADS (Section 3.2 of the paper), then hardware.
-inline unsigned default_threads() {
-  unsigned env = env_unsigned("PSTL_NUM_THREADS", 0);
-  if (env == 0) { env = env_unsigned("OMP_NUM_THREADS", 0); }
-  if (env == 0) { env = std::max(1u, std::thread::hardware_concurrency()); }
-  return env;
-}
+/// then OMP_NUM_THREADS (Section 3.2 of the paper), then hardware. The same
+/// function sizes the pools and the default arena.
+using sched::default_threads;
 
 struct seq_policy {};
 
@@ -64,8 +60,7 @@ enum class scan_skeleton {
 };
 
 /// Which parallel sort pipeline a policy uses (see DESIGN.md §13
-/// "Samplesort"). The environment knob PSTLB_SORT=sample|merge overrides the
-/// policy for ablation runs.
+/// "Samplesort"); fig7_sort sets it to compare the two pipelines.
 enum class sort_path {
   /// Samplesort above the policy's sample_sort_min, mergesort below it
   /// (splitter selection and bucket bookkeeping are pure overhead on inputs
@@ -91,7 +86,7 @@ struct parallel_policy_base {
   /// mergesort — Section 5.6) instead of log2(R) binary merge rounds.
   /// Consulted only when the mergesort pipeline runs (see `sort`).
   bool multiway_sort = false;
-  /// Parallel sort pipeline selection (PSTLB_SORT overrides at runtime).
+  /// Parallel sort pipeline selection.
   sort_path sort = sort_path::automatic;
   /// `automatic` routes inputs of at least this many elements to samplesort;
   /// smaller ones keep the mergesort, whose merge rounds stay cache-resident
@@ -306,9 +301,6 @@ decltype(auto) dispatch(const PolicyRef& policy, index_t n, SeqFn&& seq_fn,
       return seq_fn();
     }
     sched::arena* a = sched::arena::admission_target();
-    if (a == nullptr) {  // PSTLB_ARENA=0: legacy ungated dispatch
-      return par_fn(policy_traits<Policy>::make(policy), grain_for(policy.threads));
-    }
     const sched::arena::ticket ticket = a->admit(policy.threads);
     if (!ticket.parallel()) { return seq_fn(); }
     sched::arena::scoped_bind bind(a);

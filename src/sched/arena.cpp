@@ -8,6 +8,7 @@
 
 #include "pstlb/env.hpp"
 #include "sched/loop_context.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace pstlb::sched {
 namespace {
@@ -54,7 +55,6 @@ thread_local unsigned tls_granted = 0;
 std::atomic<std::uint64_t> g_total_sheds{0};
 std::atomic<std::uint64_t> g_unattributed_sheds[4] = {};
 std::atomic<std::uint64_t> g_last_warn_ms{0};
-std::atomic<int> g_admission_override{-1};  // -1: read env, 0/1: forced
 
 /// ~1/s per limiter; returns true when this call may print.
 bool warn_budget(std::atomic<std::uint64_t>& last_warn_ms) noexcept {
@@ -441,15 +441,12 @@ arena& arena::default_arena() {
     config cfg;
     cfg.name = "default";
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned env_threads =
-        std::max(env::unsigned_or("PSTL_NUM_THREADS", 0),
-                 env::unsigned_or("OMP_NUM_THREADS", 0));
     const unsigned cap_env = env::unsigned_or("PSTLB_ARENA_CAP", 0);
     // No explicit cap: elastic, so a lone caller keeps the exact width its
     // policy requested (pre-arena behaviour on any host size) and only
     // concurrent callers contend for the hw-derived token pool. An explicit
     // PSTLB_ARENA_CAP is a hard limit the operator asked for.
-    cfg.cap = cap_env != 0 ? cap_env : std::max(hw, env_threads);
+    cfg.cap = cap_env != 0 ? cap_env : std::max(hw, default_threads());
     cfg.elastic = cap_env == 0;
     cfg.max_pending = env::unsigned_or("PSTLB_ARENA_MAX_PENDING", 64);
     cfg.deadline_ms = env::unsigned_or("PSTLB_ARENA_DEADLINE_MS", 0);
@@ -458,22 +455,8 @@ arena& arena::default_arena() {
   return *instance;
 }
 
-bool arena::admission_enabled() noexcept {
-  int state = g_admission_override.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = env::enabled_or("PSTLB_ARENA", true) ? 1 : 0;
-    g_admission_override.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
-}
-
-void arena::set_admission_enabled(bool on) noexcept {
-  g_admission_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
 arena* arena::admission_target() {
   if (arena* a = tls_current) { return a; }
-  if (!admission_enabled()) { return nullptr; }
   return &default_arena();
 }
 

@@ -33,8 +33,9 @@
 //
 // Every `pstlb::` front-end funnels through exec::dispatch, which performs
 // admission against arena::current() (a TLS binding installed by
-// arena::scoped_bind) or the process-wide default arena. PSTLB_ARENA=0
-// disables admission entirely (the pre-arena behaviour).
+// arena::scoped_bind) or the process-wide default arena. There is no
+// ungated path: the default arena is elastic, so a lone caller is granted
+// the full width it asked for.
 #pragma once
 
 #include <atomic>
@@ -204,19 +205,15 @@ class arena {
     arena* prev_;
   };
 
-  /// The process-wide default arena: cap from PSTLB_ARENA_CAP (default: the
-  /// pool sizing formula max(hardware, PSTL_NUM_THREADS, OMP_NUM_THREADS)),
+  /// The process-wide default arena: cap from PSTLB_ARENA_CAP (default:
+  /// max(hardware threads, default_threads()), elastic),
   /// queue bound from PSTLB_ARENA_MAX_PENDING, deadline from
   /// PSTLB_ARENA_DEADLINE_MS. Intentionally leaked (late references during
   /// static destruction).
   static arena& default_arena();
 
-  /// False when PSTLB_ARENA=0 (admission disabled). Overridable in tests.
-  static bool admission_enabled() noexcept;
-  static void set_admission_enabled(bool on) noexcept;
-
   /// Where exec::dispatch sends admission: the thread's bound arena if any,
-  /// else the default arena, else nullptr when admission is disabled.
+  /// else the default arena. Never null.
   static arena* admission_target();
 
  private:

@@ -4,6 +4,7 @@
 #include <optional>
 #include <thread>
 
+#include "pstlb/env.hpp"
 #include "sched/watchdog.hpp"
 
 namespace pstlb::sched {
@@ -124,11 +125,15 @@ void thread_pool::worker_main(unsigned tid) {
   }
 }
 
+unsigned default_threads() {
+  unsigned t = env::unsigned_or("PSTL_NUM_THREADS", 0);
+  if (t == 0) { t = env::unsigned_or("OMP_NUM_THREADS", 0); }
+  return t != 0 ? t : std::max(1u, std::thread::hardware_concurrency());
+}
+
 unsigned global_pool_workers() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned env = std::max(env_unsigned("PSTL_NUM_THREADS", 0),
-                                env_unsigned("OMP_NUM_THREADS", 0));
-  return std::max({hw, env, 4u}) - 1;
+  return std::max({hw, default_threads(), 4u}) - 1;
 }
 
 thread_pool& thread_pool::global() {

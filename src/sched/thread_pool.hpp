@@ -90,8 +90,13 @@ class thread_pool {
   worker_threads workers_;  // last: the workers use every member above
 };
 
+/// The process's thread count (Section 3.2 of the paper): PSTL_NUM_THREADS,
+/// else OMP_NUM_THREADS, else hardware threads — the first one set wins. The
+/// policy default, the default arena's cap and the pool size all read it.
+unsigned default_threads();
+
 /// Initial worker count of every process-wide pool: max(hardware threads,
-/// PSTL_NUM_THREADS, OMP_NUM_THREADS, 4) participants minus the caller.
+/// default_threads(), 4) participants minus the caller.
 unsigned global_pool_workers();
 
 }  // namespace pstlb::sched

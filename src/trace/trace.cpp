@@ -27,13 +27,8 @@ std::uint64_t epoch_ns() {
   return epoch;
 }
 
-std::size_t configured_capacity() {
-  static const std::size_t capacity = [] {
-    const unsigned raw = env::unsigned_or("PSTLB_TRACE_RING", 0);
-    return raw == 0 ? std::size_t{1} << 14 : static_cast<std::size_t>(raw);
-  }();
-  return capacity;
-}
+/// Events per thread ring; the oldest event is overwritten when full.
+constexpr std::size_t ring_capacity = std::size_t{1} << 14;
 
 std::size_t hist_bucket(std::uint64_t elems) {
   const std::size_t b =
@@ -142,7 +137,7 @@ registry& registry::instance() {
 
 event_ring& registry::create_ring() {
   std::lock_guard lock(mutex_);
-  auto ring = std::make_unique<event_ring>(configured_capacity());
+  auto ring = std::make_unique<event_ring>(ring_capacity);
   ring->id_ = static_cast<std::uint32_t>(rings_.size());
   rings_.push_back(std::move(ring));
   return *rings_.back();

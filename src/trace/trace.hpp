@@ -22,7 +22,8 @@
 //   PSTLB_TRACE=1        enable at process start (tests/benches may also
 //                        toggle programmatically via set_enabled)
 //   PSTLB_TRACE_FILE=f   write a Chrome-trace/Perfetto JSON to `f` at exit
-//   PSTLB_TRACE_RING=n   per-thread ring capacity in events (default 2^14)
+//
+// Each thread's ring holds 2^14 events (ring_capacity in trace.cpp).
 //
 // Two consumers sit on top:
 //   trace/chrome_trace — trace_event-format JSON (open in ui.perfetto.dev)

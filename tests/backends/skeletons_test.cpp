@@ -378,19 +378,6 @@ TEST(ChunkTable, MinChunkAndOversubAreConfigurable) {
   EXPECT_EQ(floor.chunk, 1024);
 }
 
-TEST(ChunkTable, EnvironmentOverridesDefaults) {
-  ::setenv("PSTLB_SCAN_CHUNK", "512", 1);
-  ::setenv("PSTLB_SCAN_OVERSUB", "2", 1);
-  EXPECT_EQ(default_scan_min_chunk(), 512);
-  EXPECT_EQ(default_scan_oversub(), 2);
-  const chunk_table t(1 << 20, 4);
-  EXPECT_EQ(t.count, 8);  // slots * PSTLB_SCAN_OVERSUB
-  ::unsetenv("PSTLB_SCAN_CHUNK");
-  ::unsetenv("PSTLB_SCAN_OVERSUB");
-  EXPECT_EQ(default_scan_min_chunk(), 2048);
-  EXPECT_EQ(default_scan_oversub(), 4);
-}
-
 TEST(LookbackChunkSize, RespectsFloorAndCacheCap) {
   // Small inputs collapse to the floor; huge inputs are capped so the
   // in-chunk re-read stays cache-resident.

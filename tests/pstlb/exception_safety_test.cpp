@@ -3,13 +3,14 @@
 // (TBB task_group_context semantics), never deadlocks, never terminates, and
 // leaves containers valid-but-unspecified and the pools reusable.
 //
-// The scan cases force the single-pass decoupled-lookback skeleton with tiny
-// chunks (PSTLB_SCAN_CHUNK=64), so exceptions land mid-lookback and the
+// The lookback case runs the single-pass decoupled-lookback skeleton with
+// tiny chunks (min_chunk = 64), so exceptions land mid-lookback and the
 // poisoned-descriptor protocol is what keeps the spinning peers alive. This
 // whole file runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -114,29 +115,39 @@ TYPED_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
   // an element-level throw then lands while peers are actively spinning on
   // predecessor descriptors. The poisoned-descriptor protocol must unblock
   // every one of them or this test hangs.
-  ::setenv("PSTLB_SCAN_CHUNK", "64", 1);
   auto policy = pstlb::test::make_eager<TypeParam>();
-  const index_t n = index_t{1} << 14;  // >= lookback_min_elements
+  const auto backend = pstlb::exec::policy_traits<TypeParam>::make(policy);
+  const index_t n = index_t{1} << 14;
   std::vector<long long> in(static_cast<std::size_t>(n), 1);
   std::vector<long long> out(in.size(), 0);
+  const auto lookback_scan = [&](auto combine) {
+    const auto at = [&](index_t i) { return in.begin() + i; };
+    pstlb::backends::parallel_scan_1p<decltype(backend), long long>(
+        backend, n, combine,
+        [&](index_t b, index_t e) { return std::accumulate(at(b + 1), at(e), *at(b), combine); },
+        [&](index_t b, index_t e, long long carry, bool has_carry) {
+          const auto dst = out.begin() + b;
+          has_carry ? std::inclusive_scan(at(b), at(e), dst, combine, carry)
+                    : std::inclusive_scan(at(b), at(e), dst, combine);
+        },
+        /*min_chunk=*/64);
+  };
   for (int trial = 0; trial < 4; ++trial) {
     const index_t bad = throw_position(n, trial);
     int caught = 0;
     try {
-      pstlb::inclusive_scan(policy, in.begin(), in.end(), out.begin(),
-                            [&](long long a, long long b) -> long long {
-                              if (a + b == bad + 1) { throw user_error(); }
-                              return a + b;
-                            });
+      lookback_scan([&](long long a, long long b) -> long long {
+        if (a + b == bad + 1) { throw user_error(); }
+        return a + b;
+      });
     } catch (const user_error&) {
       ++caught;
     }
     if (bad == 0) { continue; }  // prefix `bad + 1` may never be formed
     EXPECT_EQ(caught, 1) << "trial " << trial;
   }
-  ::unsetenv("PSTLB_SCAN_CHUNK");
   // Scan still produces correct output after the failed launches.
-  pstlb::inclusive_scan(policy, in.begin(), in.end(), out.begin());
+  lookback_scan(std::plus<long long>{});
   EXPECT_EQ(out.back(), static_cast<long long>(n));
 }
 

@@ -1,14 +1,16 @@
 // Samplesort pipeline coverage: correctness on adversarial key
 // distributions, the stability contract, the recursion and all-equal escape
-// hatches, env-knob selection, traffic accounting, and fault propagation
+// hatches, pipeline selection, traffic accounting, and fault propagation
 // during classification/scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pstlb/detail/samplesort.hpp"
@@ -120,13 +122,14 @@ TEST(Samplesort, TinyBucketCapForcesRecursion) {
   // With a 32-element cap (the floor) nearly every bucket overflows, so the
   // depth-1 sequential recursion runs constantly; Zipf keys also hit the
   // all-equal escape inside oversized buckets.
-  EnvVar cap("PSTLB_SORT_BUCKET_CAP", "32");
-  EnvVar over("PSTLB_SORT_OVERSAMPLE", "4");
   auto pol = sample_policy<pstlb::exec::steal_policy>();
   auto v = zipf_input(1 << 16, 11);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  pstlb::sort(pol, v.begin(), v.end());
+  ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
+      pstlb::exec::policy_traits<pstlb::exec::steal_policy>::make(pol), pol,
+      v.begin(), static_cast<index_t>(v.size()), std::less<>{},
+      pstlb::detail::samplesort_params{32, 4}));
   EXPECT_EQ(v, expected);
 }
 
@@ -157,28 +160,22 @@ TEST(Samplesort, BoundarySizes) {
   }
 }
 
-TEST(Samplesort, EnvOverrideSelectsPipeline) {
-  // PSTLB_SORT beats the policy's explicit choice in both directions.
+TEST(Samplesort, PolicySortPathSelectsPipeline) {
+  // An explicit sort_path beats the size threshold in both directions: this
+  // input is below sample_sort_min, yet `sample` takes samplesort.
   std::mt19937_64 rng(41);
   std::vector<double> v(1 << 15);
   for (auto& x : v) { x = static_cast<double>(rng() % 1000); }
-  {
-    EnvVar mode("PSTLB_SORT", "sample");
+  for (const auto& [path, algorithm] :
+       {std::pair{pstlb::exec::sort_path::sample, "sample"},
+        std::pair{pstlb::exec::sort_path::merge, "merge"}}) {
     auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
-    pol.sort = pstlb::exec::sort_path::merge;
+    ASSERT_LT(static_cast<index_t>(v.size()), pol.sample_sort_min);
+    pol.sort = path;
     auto w = v;
     pstlb::sort(pol, w.begin(), w.end());
     EXPECT_TRUE(std::is_sorted(w.begin(), w.end()));
-    EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "sample");
-  }
-  {
-    EnvVar mode("PSTLB_SORT", "merge");
-    auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
-    pol.sort = pstlb::exec::sort_path::sample;
-    auto w = v;
-    pstlb::sort(pol, w.begin(), w.end());
-    EXPECT_TRUE(std::is_sorted(w.begin(), w.end()));
-    EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "merge");
+    EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, algorithm);
   }
 }
 

@@ -245,18 +245,14 @@ TEST(Arena, NoteDegradationAttributesToBoundArena) {
 }
 
 TEST(Arena, AdmissionToggleControlsTarget) {
-  const bool was_enabled = arena::admission_enabled();
-  arena::set_admission_enabled(false);
-  EXPECT_EQ(arena::admission_target(), nullptr);
-  arena::set_admission_enabled(true);
   EXPECT_EQ(arena::admission_target(), &arena::default_arena());
-  // A thread-bound arena wins over the default regardless of the toggle.
+  // A thread-bound arena wins over the default.
   arena a(cfg(4));
   {
     arena::scoped_bind bind(&a);
     EXPECT_EQ(arena::admission_target(), &a);
   }
-  arena::set_admission_enabled(was_enabled);
+  EXPECT_EQ(arena::admission_target(), &arena::default_arena());
 }
 
 TEST(Arena, SnapshotQuantilesComeFromTheCallHistogram) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -82,6 +85,21 @@ TEST(ThreadPool, ConcurrentCallersSerialize) {
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&thread_pool::global(), &thread_pool::global());
+}
+
+TEST(ThreadPool, ThreadCountTakesTheFirstSetVariable) {
+  // PSTL_NUM_THREADS wins over OMP_NUM_THREADS (Section 3.2 of the paper),
+  // for the policy default and the pool size alike: a larger
+  // OMP_NUM_THREADS must not grow the pools past what policies run.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  ::setenv("PSTL_NUM_THREADS", "2", 1);
+  ::setenv("OMP_NUM_THREADS", std::to_string(hw + 16).c_str(), 1);
+  EXPECT_EQ(default_threads(), 2u);
+  EXPECT_EQ(global_pool_workers(), std::max({hw, 2u, 4u}) - 1);
+  ::unsetenv("PSTL_NUM_THREADS");
+  EXPECT_EQ(default_threads(), hw + 16);
+  ::unsetenv("OMP_NUM_THREADS");
+  EXPECT_EQ(default_threads(), hw);
 }
 
 }  // namespace
