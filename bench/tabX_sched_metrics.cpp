@@ -55,9 +55,7 @@ backend_row measure(const std::string& name, index_t n) {
     counters::region region("tabX/" + name);  // folds sched_* into markers
     run_foreach<Policy>(n);
   }
-  backend_row row{name, trace::delta(before, trace::collect())};
-  trace::fold_into_markers("tabX/" + name + "/sched", row.window);
-  return row;
+  return backend_row{name, trace::delta(before, trace::collect())};
 }
 
 void report(std::ostream& os, const std::vector<backend_row>& rows, index_t n) {
@@ -71,21 +69,23 @@ void report(std::ostream& os, const std::vector<backend_row>& rows, index_t n) {
     t.add_row(cells);
   };
   using M = const trace::sched_metrics&;
-  row("tasks spawned", [](M m) { return eng(static_cast<double>(m.tasks_spawned())); });
-  row("range splits", [](M m) { return eng(static_cast<double>(m.range_splits())); });
-  row("steals ok", [](M m) { return eng(static_cast<double>(m.steals_ok())); });
-  row("steals failed", [](M m) { return eng(static_cast<double>(m.steals_failed())); });
+  using C = trace::sched_counter;
+  auto total = [](M m, C c) { return static_cast<double>(m.total(c)); };
+  row("tasks spawned", [&](M m) { return eng(total(m, C::tasks_spawned)); });
+  row("range splits", [&](M m) { return eng(total(m, C::range_splits)); });
+  row("steals ok", [&](M m) { return eng(total(m, C::steals_ok)); });
+  row("steals failed", [&](M m) { return eng(total(m, C::steals_failed)); });
   // A zero-steal window is "fully local" by definition (the function returns
   // 1.0), but printing 1.00 reads like a measurement — show "-" instead.
   row("steal local frac", [](M m) {
-    return m.steals_ok() == 0 ? std::string("-")
-                              : fmt(m.steal_local_fraction(), 2);
+    return m.total(C::steals_ok) == 0 ? std::string("-")
+                                      : fmt(m.steal_local_fraction(), 2);
   });
-  row("chunks executed", [](M m) { return eng(static_cast<double>(m.chunks())); });
-  row("chunk elems p50", [](M m) { return eng(m.chunk_size_p50()); });
-  row("chunk elems p95", [](M m) { return eng(m.chunk_size_p95()); });
-  row("busy (s, all threads)", [](M m) { return fmt(m.busy_s(), 4); });
-  row("idle (s, all threads)", [](M m) { return fmt(m.idle_s(), 4); });
+  row("chunks executed", [&](M m) { return eng(total(m, C::chunks)); });
+  row("chunk elems p50", [](M m) { return eng(metrics::quantile(m.chunk_hist, 0.50)); });
+  row("chunk elems p95", [](M m) { return eng(metrics::quantile(m.chunk_hist, 0.95)); });
+  row("busy (s, all threads)", [&](M m) { return fmt(total(m, C::busy_ns) * 1e-9, 4); });
+  row("idle (s, all threads)", [&](M m) { return fmt(total(m, C::idle_ns) * 1e-9, 4); });
   row("load imbalance", [](M m) { return fmt(m.load_imbalance(), 2); });
   t.print(os);
 

@@ -40,7 +40,7 @@ void report_work(const counter_set& work);
 region::region(std::string_view name) : name_(name) {
   if (trace::enabled()) {
     traced_ = true;
-    sched_before_ = trace::totals();
+    sched_before_ = trace::collect();
   }
   // The measuring thread joins the provider (workers attach at pool start);
   // the baseline read is last so it never covers our own setup.
@@ -67,14 +67,13 @@ const counter_set& region::stop() {
       }
     }
     if (traced_ && trace::enabled()) {
-      const trace::sched_totals now = trace::totals();
-      auto d = [](std::uint64_t after, std::uint64_t before) {
-        return after > before ? static_cast<double>(after - before) : 0.0;
-      };
-      result_.sched_steals_ok = d(now.steals_ok, sched_before_.steals_ok);
-      result_.sched_steals_failed = d(now.steals_failed, sched_before_.steals_failed);
-      result_.sched_tasks_spawned = d(now.tasks_spawned, sched_before_.tasks_spawned);
-      result_.sched_chunks = d(now.chunks, sched_before_.chunks);
+      using trace::sched_counter;
+      const trace::sched_metrics d = trace::delta(sched_before_, trace::collect());
+      auto total = [&](sched_counter c) { return static_cast<double>(d.total(c)); };
+      result_.sched_steals_ok = total(sched_counter::steals_ok);
+      result_.sched_steals_failed = total(sched_counter::steals_failed);
+      result_.sched_tasks_spawned = total(sched_counter::tasks_spawned);
+      result_.sched_chunks = total(sched_counter::chunks);
     }
     stopped_ = true;
     // Remove this region wherever it sits in the stack: stopping an outer

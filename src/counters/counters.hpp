@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "counters/provider.hpp"
-#include "trace/trace.hpp"
+#include "trace/sched_metrics.hpp"
 
 namespace pstlb::counters {
 
@@ -41,7 +41,7 @@ struct counter_set {
   double seconds = 0;        // region wall time
 
   // Scheduler telemetry (src/trace): filled by regions while PSTLB_TRACE is
-  // on, and by trace::fold_into_markers. Zero in trace-off runs.
+  // on. Zero in trace-off runs.
   double sched_steals_ok = 0;
   double sched_steals_failed = 0;
   double sched_tasks_spawned = 0;
@@ -118,7 +118,7 @@ class region {
   std::chrono::steady_clock::time_point start_;
   counter_set accumulated_;  // work reported while active
   counter_set result_;
-  trace::sched_totals sched_before_;  // telemetry baseline (tracing only)
+  trace::sched_metrics sched_before_;  // telemetry baseline (tracing only)
   hw_totals hw_before_;               // hardware baseline (measuring providers)
   bool traced_ = false;
   bool stopped_ = false;

@@ -11,8 +11,10 @@ namespace pstlb::simd {
 
 namespace {
 
+constexpr std::string_view k_names[isa_count] = {"scalar", "sse2", "avx2",
+                                                 "avx512"};
 std::atomic<int> g_active{-1};  // -1 = not yet resolved
-std::atomic<std::uint64_t> g_leaf_counts[isa_count];
+constinit std::atomic<std::uint64_t> g_leaf_counts[isa_count] = {};
 
 isa clamp_to_caps(isa want) {
   isa out = want;
@@ -49,21 +51,15 @@ isa resolve_from_env() {
 }  // namespace
 
 std::string_view name(isa level) {
-  switch (level) {
-    case isa::scalar: return "scalar";
-    case isa::sse2: return "sse2";
-    case isa::avx2: return "avx2";
-    case isa::avx512: return "avx512";
-  }
-  return "scalar";
+  const auto i = static_cast<std::size_t>(level);
+  return i < std::size(k_names) ? k_names[i] : "scalar";
 }
 
 bool parse(std::string_view text, isa& out) {
-  if (text == "scalar") { out = isa::scalar; return true; }
-  if (text == "sse2") { out = isa::sse2; return true; }
-  if (text == "avx2") { out = isa::avx2; return true; }
-  if (text == "avx512") { out = isa::avx512; return true; }
   if (text == "auto") { out = detect_max(); return true; }
+  for (std::size_t i = 0; i < std::size(k_names); ++i) {
+    if (text == k_names[i]) { out = static_cast<isa>(i); return true; }
+  }
   return false;
 }
 
@@ -122,10 +118,20 @@ void note_leaf(isa level) {
                                                    std::memory_order_relaxed);
 }
 
-std::uint64_t leaf_invocations(isa level) {
-  return g_leaf_counts[static_cast<int>(level)].load(
-      std::memory_order_relaxed);
-}
+namespace {
+
+constexpr metrics::field k_leaf_fields[] = {
+    {"leaves_", "pstlb_simd_leaves_total", metrics::kind::counter,
+     [](const void*, std::size_t i) noexcept {
+       return g_leaf_counts[i].load(std::memory_order_relaxed);
+     },
+     "isa", k_names},
+};
+
+}  // namespace
+
+constinit const metrics::family leaf_family{"simd", "", k_leaf_fields,
+                                            metrics::one_row};
 
 void report_selection() {
   const isa act = static_cast<isa>(

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "trace/metrics.hpp"
+
 namespace pstlb::simd {
 
 enum class isa : int {
@@ -49,12 +51,12 @@ isa active();
 /// compiled maxima — the returned value is what actually took effect).
 isa force(isa level);
 
-/// Counts one vectorized-leaf entry at `level` (relaxed; for the dispatch
-/// report and the per-ISA stats columns).
+/// Counts one vectorized-leaf entry at `level` (relaxed).
 void note_leaf(isa level);
 
-/// Vectorized-leaf invocations dispatched at `level` so far.
-std::uint64_t leaf_invocations(isa level);
+/// Exported family (stats registry writers): one row counting the
+/// vectorized-leaf entries so far per ISA level.
+extern const metrics::family leaf_family;
 
 /// Prints the one-line dispatch report CI greps:
 ///   "pstlb: simd isa=<active> max=<detected> compiled=<max table> ..."

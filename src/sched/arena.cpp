@@ -13,37 +13,16 @@
 namespace pstlb::sched {
 namespace {
 
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using metrics::now_ns;
 
-std::size_t hist_bucket(std::uint64_t ns) noexcept {
-  const std::size_t b = ns == 0 ? 0 : static_cast<std::size_t>(std::bit_width(ns)) - 1;
-  return b < arena_hist_buckets ? b : arena_hist_buckets - 1;
-}
+/// shed_reason names: the warning text and the exported `reason` label.
+constexpr std::string_view k_shed_names[shed_reason_count] = {
+    "saturated", "deadline", "spawnfail", "oom"};
 
-const char* reason_name(shed_reason reason) noexcept {
-  switch (reason) {
-    case shed_reason::saturated: return "admission queue full";
-    case shed_reason::deadline: return "admission deadline exceeded";
-    case shed_reason::spawnfail: return "worker spawn failed";
-    case shed_reason::oom: return "scratch allocation failed";
-  }
-  return "unknown";
-}
-
-// Live-arena registry for snapshot_all(); arenas register for their lifetime.
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-std::vector<arena*>& registry() {
-  static std::vector<arena*> r;
-  return r;
-}
+// Live-arena list head. Both are constant-initialized and trivially
+// destructible, so the at-exit stats dump can still walk the list.
+constinit std::mutex g_registry_mutex;
+constinit std::atomic<arena*> g_first_arena{nullptr};
 
 thread_local arena* tls_current = nullptr;
 // Re-entrancy: the arena (and width) of the ticket this thread currently
@@ -53,7 +32,6 @@ thread_local arena* tls_holder = nullptr;
 thread_local unsigned tls_granted = 0;
 
 std::atomic<std::uint64_t> g_total_sheds{0};
-std::atomic<std::uint64_t> g_unattributed_sheds[4] = {};
 std::atomic<std::uint64_t> g_last_warn_ms{0};
 
 /// ~1/s per limiter; returns true when this call may print.
@@ -66,21 +44,6 @@ bool warn_budget(std::atomic<std::uint64_t>& last_warn_ms) noexcept {
 }
 
 }  // namespace
-
-double arena_snapshot::call_quantile_ns(double q) const noexcept {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : call_hist) { total += c; }
-  if (total == 0) { return 0.0; }
-  const double rank = q * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < arena_hist_buckets; ++b) {
-    seen += call_hist[b];
-    if (static_cast<double>(seen) >= rank) {
-      return static_cast<double>(std::uint64_t{1} << b);
-    }
-  }
-  return static_cast<double>(std::uint64_t{1} << (arena_hist_buckets - 1));
-}
 
 struct arena::waiter {
   unsigned requested = 0;
@@ -107,14 +70,19 @@ arena::arena(config cfg)
       max_pending_(cfg.max_pending),
       deadline_ms_(cfg.deadline_ms),
       elastic_(cfg.elastic) {
-  std::lock_guard lock(registry_mutex());
-  registry().push_back(this);
+  std::lock_guard lock(g_registry_mutex);
+  std::atomic<arena*>* link = &g_first_arena;
+  while (arena* a = link->load(std::memory_order_relaxed)) { link = &a->next_; }
+  link->store(this, std::memory_order_release);
 }
 
 arena::~arena() {
-  std::lock_guard lock(registry_mutex());
-  auto& r = registry();
-  r.erase(std::remove(r.begin(), r.end(), this), r.end());
+  std::lock_guard lock(g_registry_mutex);
+  std::atomic<arena*>* link = &g_first_arena;
+  while (link->load(std::memory_order_relaxed) != this) {
+    link = &link->load(std::memory_order_relaxed)->next_;
+  }
+  link->store(next_.load(std::memory_order_relaxed), std::memory_order_release);
 }
 
 unsigned arena::fair_share_locked() const noexcept {
@@ -196,12 +164,7 @@ arena::ticket arena::admit(unsigned requested) {
       waiter w;
       w.requested = requested;
       waiters_.push_back(&w);
-      const auto pending = static_cast<std::uint64_t>(waiters_.size());
-      std::uint64_t peak = peak_pending_.load(std::memory_order_relaxed);
-      while (pending > peak &&
-             !peak_pending_.compare_exchange_weak(peak, pending,
-                                                  std::memory_order_relaxed)) {
-      }
+      metrics::fetch_max(peak_pending_, waiters_.size());
       if (deadline_ms_ > 0) {
         const bool granted = w.cv.wait_for(
             lock, std::chrono::milliseconds(deadline_ms_),
@@ -223,7 +186,7 @@ arena::ticket arena::admit(unsigned requested) {
       tokens = w.tokens;
     }
   }
-  record_wait(now_ns() - t0);
+  wait_hist_.record(now_ns() - t0);
   admitted_.fetch_add(1, std::memory_order_relaxed);
   t.outcome_ = admit_outcome::parallel;
   t.granted_ = grant;
@@ -267,44 +230,22 @@ void arena::ticket::release() noexcept {
 
 void arena::finish(unsigned tokens, std::uint64_t admit_ns) noexcept {
   completed_.fetch_add(1, std::memory_order_relaxed);
-  record_call(now_ns() - admit_ns);
+  call_hist_.record(now_ns() - admit_ns);
   std::lock_guard lock(mutex_);
   tokens_in_use_ -= tokens;
   --active_regions_;
   grant_waiters_locked();
 }
 
-void arena::record_wait(std::uint64_t ns) noexcept {
-  wait_hist_[hist_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
-}
-
-void arena::record_call(std::uint64_t ns) noexcept {
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  call_hist_[hist_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
-}
-
 void arena::count_shed(shed_reason reason) noexcept {
-  switch (reason) {
-    case shed_reason::saturated:
-      shed_saturated_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case shed_reason::deadline:
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case shed_reason::spawnfail:
-      shed_spawnfail_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case shed_reason::oom:
-      shed_oom_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+  shed_[static_cast<std::size_t>(reason)].fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t total =
       g_total_sheds.fetch_add(1, std::memory_order_relaxed) + 1;
   if (warn_budget(last_warn_ms_)) {
     std::fprintf(stderr,
                  "pstlb: arena '%s' shed call to sequential path (%s); "
                  "process-wide sheds=%llu\n",
-                 name_.c_str(), reason_name(reason),
+                 name_.c_str(), k_shed_names[static_cast<std::size_t>(reason)].data(),
                  static_cast<unsigned long long>(total));
   }
 }
@@ -395,34 +336,55 @@ bool arena::try_help_nested() noexcept {
 
 arena_snapshot arena::snapshot() const {
   arena_snapshot s;
-  s.name = name_;
-  s.cap = cap_;
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.sequential_cap = sequential_cap_.load(std::memory_order_relaxed);
-  s.shed_saturated = shed_saturated_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_spawnfail = shed_spawnfail_.load(std::memory_order_relaxed);
-  s.shed_oom = shed_oom_.load(std::memory_order_relaxed);
+  for (std::size_t r = 0; r < shed_reason_count; ++r) {
+    s.shed[r] = shed_[r].load(std::memory_order_relaxed);
+  }
   s.watchdog_fires = watchdog_fires_.load(std::memory_order_relaxed);
   s.nested_runs = nested_runs_.load(std::memory_order_relaxed);
-  s.nested_helps = nested_helps_.load(std::memory_order_relaxed);
   s.peak_pending = peak_pending_.load(std::memory_order_relaxed);
-  s.calls = calls_.load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < arena_hist_buckets; ++b) {
-    s.call_hist[b] = call_hist_[b].load(std::memory_order_relaxed);
-    s.wait_hist[b] = wait_hist_[b].load(std::memory_order_relaxed);
-  }
+  call_hist_.load(s.call_hist);
+  wait_hist_.load(s.wait_hist);
   return s;
 }
 
-std::vector<arena_snapshot> arena::snapshot_all() {
-  std::lock_guard lock(registry_mutex());
-  std::vector<arena_snapshot> out;
-  out.reserve(registry().size());
-  for (const arena* a : registry()) { out.push_back(a->snapshot()); }
-  return out;
-}
+/// The arena family's field table (a friend: it reads the private counters).
+struct arena_fields {
+  using k = metrics::kind;
+  static constexpr metrics::field table[] = {
+      {"cap", "pstlb_arena_cap", k::gauge, metrics::read<&arena::cap_>},
+      {"admitted", "pstlb_arena_admitted_total", k::counter,
+       metrics::read<&arena::admitted_>},
+      {"completed", "pstlb_arena_completed_total", k::counter,
+       metrics::read<&arena::completed_>},
+      {"sequential_cap", "pstlb_arena_sequential_cap_total", k::counter,
+       metrics::read<&arena::sequential_cap_>},
+      {"shed_", "pstlb_arena_shed_total", k::counter, metrics::read<&arena::shed_>,
+       "reason", k_shed_names},
+      {"watchdog_fires", "pstlb_arena_watchdog_fires_total", k::counter,
+       metrics::read<&arena::watchdog_fires_>},
+      {"nested_runs", "pstlb_arena_nested_runs_total", k::counter,
+       metrics::read<&arena::nested_runs_>},
+      {"nested_helps", "pstlb_arena_nested_helps_total", k::counter,
+       metrics::read<&arena::nested_helps_>},
+      {"peak_pending", "pstlb_arena_peak_pending", k::gauge,
+       metrics::read<&arena::peak_pending_>},
+      {"", "pstlb_arena_call_latency_ns", k::summary, metrics::read<&arena::call_hist_>},
+  };
+  static const void* next(const void* row) noexcept {
+    const auto& link = row == nullptr ? g_first_arena : static_cast<const arena*>(row)->next_;
+    return link.load(std::memory_order_acquire);
+  }
+};
+
+constinit const metrics::family arena::metrics_family{
+    "arenas", "arena", arena_fields::table, &arena_fields::next,
+    [](const void* row) noexcept -> std::string_view {
+      return static_cast<const arena*>(row)->name_;
+    },
+    &g_registry_mutex};
 
 std::uint64_t arena::global_shed_count() noexcept {
   return g_total_sheds.load(std::memory_order_relaxed);
@@ -465,15 +427,13 @@ void note_degradation(shed_reason reason) noexcept {
     a->count_shed(reason);
     return;
   }
-  g_unattributed_sheds[static_cast<std::size_t>(reason)].fetch_add(
-      1, std::memory_order_relaxed);
   const std::uint64_t total =
       g_total_sheds.fetch_add(1, std::memory_order_relaxed) + 1;
   if (warn_budget(g_last_warn_ms)) {
     std::fprintf(stderr,
                  "pstlb: call shed to sequential path (%s); "
                  "process-wide sheds=%llu\n",
-                 reason_name(reason),
+                 k_shed_names[static_cast<std::size_t>(reason)].data(),
                  static_cast<unsigned long long>(total));
   }
 }

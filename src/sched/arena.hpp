@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "pstlb/common.hpp"
+#include "trace/metrics.hpp"
 
 namespace pstlb::sched {
 
@@ -63,38 +64,27 @@ enum class admit_outcome : std::uint8_t {
 
 /// Why a call degraded to the sequential path (shed counters + warning).
 enum class shed_reason : std::uint8_t { saturated, deadline, spawnfail, oom };
+inline constexpr std::size_t shed_reason_count = 4;
 
-/// Histogram resolution shared with the stats registry: bucket b counts
-/// values in [2^b, 2^(b+1)) ns.
-inline constexpr std::size_t arena_hist_buckets = 63;
-
-/// Point-in-time copy of one arena's counters.
+/// Point-in-time copy of one arena's counters. Latency quantiles:
+/// metrics::quantile(call_hist, q).
 struct arena_snapshot {
-  std::string name;
-  unsigned cap = 0;
   std::uint64_t admitted = 0;        // parallel grants
   std::uint64_t completed = 0;       // parallel grants released
   std::uint64_t sequential_cap = 0;  // calls the cap policy sent sequential
-  std::uint64_t shed_saturated = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t shed_spawnfail = 0;
-  std::uint64_t shed_oom = 0;
+  std::uint64_t shed[shed_reason_count] = {};  // indexed by shed_reason
   std::uint64_t watchdog_fires = 0;  // stalls attributed to this arena
   std::uint64_t nested_runs = 0;     // nested regions converted to tasks
-  std::uint64_t nested_helps = 0;    // idle workers that drained nested tasks
   std::uint64_t peak_pending = 0;    // high-water mark of the wait queue
-  std::uint64_t calls = 0;           // per-call latency samples below
-  std::uint64_t call_hist[arena_hist_buckets] = {};
-  std::uint64_t wait_hist[arena_hist_buckets] = {};  // admission wait
+  std::uint64_t call_hist[metrics::ns_buckets] = {};  // admit to release
+  std::uint64_t wait_hist[metrics::ns_buckets] = {};  // admission wait
 
-  std::uint64_t shed_total() const noexcept {
-    return shed_saturated + shed_deadline + shed_spawnfail + shed_oom;
+  std::uint64_t sheds(shed_reason r) const noexcept {
+    return shed[static_cast<std::size_t>(r)];
   }
-  /// Lower bound (2^bucket ns) of the bucket holding the q-th call.
-  double call_quantile_ns(double q) const noexcept;
-  double p50_ns() const noexcept { return call_quantile_ns(0.50); }
-  double p95_ns() const noexcept { return call_quantile_ns(0.95); }
-  double p99_ns() const noexcept { return call_quantile_ns(0.99); }
+  std::uint64_t shed_total() const noexcept {
+    return shed[0] + shed[1] + shed[2] + shed[3];
+  }
 };
 
 class arena {
@@ -182,8 +172,10 @@ class arena {
   bool try_help_nested() noexcept;
 
   arena_snapshot snapshot() const;
-  /// Snapshots every live arena (stats-registry/bench export).
-  static std::vector<arena_snapshot> snapshot_all();
+
+  /// Exported family (stats registry writers): one row per live arena, in
+  /// creation order.
+  static const metrics::family metrics_family;
 
   /// Process-wide shed counter across all arenas and un-attributed sheds
   /// (sort OOM fallbacks outside any arena). Observable by benches/CI.
@@ -219,14 +211,13 @@ class arena {
  private:
   struct waiter;
   struct nested_run;
+  friend struct arena_fields;
 
   /// Fair grant width given current contention. Caller holds mutex_.
   unsigned fair_share_locked() const noexcept;
   /// Hands free tokens to queued callers, FIFO. Caller holds mutex_.
   void grant_waiters_locked();
   void finish(unsigned tokens, std::uint64_t admit_ns) noexcept;
-  void record_wait(std::uint64_t ns) noexcept;
-  void record_call(std::uint64_t ns) noexcept;
 
   const std::string name_;
   const unsigned cap_;
@@ -243,18 +234,18 @@ class arena {
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> sequential_cap_{0};
-  std::atomic<std::uint64_t> shed_saturated_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_spawnfail_{0};
-  std::atomic<std::uint64_t> shed_oom_{0};
+  std::atomic<std::uint64_t> shed_[shed_reason_count] = {};
   std::atomic<std::uint64_t> watchdog_fires_{0};
   std::atomic<std::uint64_t> nested_runs_{0};
   std::atomic<std::uint64_t> nested_helps_{0};
   std::atomic<std::uint64_t> peak_pending_{0};
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> call_hist_[arena_hist_buckets] = {};
-  std::atomic<std::uint64_t> wait_hist_[arena_hist_buckets] = {};
+  metrics::log2_hist<metrics::ns_buckets> call_hist_;
+  metrics::log2_hist<metrics::ns_buckets> wait_hist_;
   std::atomic<std::uint64_t> last_warn_ms_{0};
+
+  // Live-arena list (metrics_family rows): appended under the registry
+  // mutex, walked lock-free by the signal-safe dump.
+  std::atomic<arena*> next_{nullptr};
 
   // Nested-task publication point: at most one nested run per arena at a
   // time (a second concurrent nested call simply drains on its own thread).
@@ -266,8 +257,8 @@ class arena {
 
 /// Degradation funnel for code that sheds outside admit() — backend setup
 /// failures (spawn/alloc) and the sort OOM fallback ladder. Attributes to
-/// the thread's bound arena when there is one, else to the process-wide
-/// un-attributed counters. Never throws.
+/// the thread's bound arena when there is one; an unbound shed only counts
+/// toward global_shed_count() and the rate-limited warning. Never throws.
 void note_degradation(shed_reason reason) noexcept;
 
 }  // namespace pstlb::sched

@@ -444,7 +444,7 @@ void write_text(const verdict& v, std::ostream& os) {
 void report_live(std::ostream& os) {
   std::vector<event> events;
   std::vector<std::uint32_t> tids;
-  for (event_ring* ring : registry::instance().rings()) {
+  for (event_ring* ring = registry::instance().first(); ring; ring = ring->next()) {
     for (const event& e : ring->snapshot()) {
       events.push_back(e);
       tids.push_back(ring->id());

@@ -100,7 +100,7 @@ void write_counter_value(std::ostream& os, double v) {
 void write_chrome_trace(std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (event_ring* ring : registry::instance().rings()) {
+  for (event_ring* ring = registry::instance().first(); ring; ring = ring->next()) {
     const std::uint32_t tid = ring->id();
     std::string label = ring->label();
     if (label.empty()) { label = "thread-" + std::to_string(tid); }

@@ -2,92 +2,18 @@
 
 #include <algorithm>
 
-#include "counters/counters.hpp"
-
 namespace pstlb::trace {
 
-namespace {
-
-std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
-  return a > b ? a - b : 0;
-}
-
-double percentile_from_hist(const std::uint64_t (&hist)[hist_buckets],
-                            double q) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t count : hist) { total += count; }
-  if (total == 0) { return 0; }
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < hist_buckets; ++b) {
-    cumulative += hist[b];
-    if (static_cast<double>(cumulative) >= target && hist[b] > 0) {
-      return static_cast<double>(std::uint64_t{1} << b);
-    }
-  }
-  return static_cast<double>(std::uint64_t{1} << (hist_buckets - 1));
-}
-
-template <class Field>
-std::uint64_t sum_threads(const sched_metrics& m, Field field) {
-  std::uint64_t total = 0;
-  for (const thread_metrics& t : m.threads) { total += field(t); }
-  return total;
-}
-
-}  // namespace
-
 double thread_metrics::busy_fraction() const {
-  const double observed = busy_s + idle_s;
-  return observed > 0 ? busy_s / observed : 0;
+  const auto busy = static_cast<double>((*this)[sched_counter::busy_ns]);
+  const double observed = busy + static_cast<double>((*this)[sched_counter::idle_ns]);
+  return observed > 0 ? busy / observed : 0;
 }
 
-std::uint64_t sched_metrics::steals_ok() const {
-  return sum_threads(*this, [](const thread_metrics& t) { return t.steals_ok; });
-}
-std::uint64_t sched_metrics::steals_failed() const {
-  return sum_threads(*this,
-                     [](const thread_metrics& t) { return t.steals_failed; });
-}
-std::uint64_t sched_metrics::steals_remote_ok() const {
-  return sum_threads(*this,
-                     [](const thread_metrics& t) { return t.steals_remote_ok; });
-}
-std::uint64_t sched_metrics::steals_remote_failed() const {
-  return sum_threads(
-      *this, [](const thread_metrics& t) { return t.steals_remote_failed; });
-}
-std::uint64_t sched_metrics::tasks_spawned() const {
-  return sum_threads(*this,
-                     [](const thread_metrics& t) { return t.tasks_spawned; });
-}
-std::uint64_t sched_metrics::range_splits() const {
-  return sum_threads(*this,
-                     [](const thread_metrics& t) { return t.range_splits; });
-}
-std::uint64_t sched_metrics::chunks() const {
-  return sum_threads(*this, [](const thread_metrics& t) { return t.chunks; });
-}
-std::uint64_t sched_metrics::chunk_elems() const {
-  return sum_threads(*this,
-                     [](const thread_metrics& t) { return t.chunk_elems; });
-}
-double sched_metrics::busy_s() const {
-  double total = 0;
-  for (const thread_metrics& t : threads) { total += t.busy_s; }
-  return total;
-}
-double sched_metrics::idle_s() const {
-  double total = 0;
-  for (const thread_metrics& t : threads) { total += t.idle_s; }
-  return total;
-}
-
-double sched_metrics::chunk_size_p50() const {
-  return percentile_from_hist(chunk_hist, 0.50);
-}
-double sched_metrics::chunk_size_p95() const {
-  return percentile_from_hist(chunk_hist, 0.95);
+std::uint64_t sched_metrics::total(sched_counter c) const {
+  std::uint64_t sum = 0;
+  for (const thread_metrics& t : threads) { sum += t[c]; }
+  return sum;
 }
 
 double sched_metrics::load_imbalance() const {
@@ -95,9 +21,10 @@ double sched_metrics::load_imbalance() const {
   double total_busy = 0;
   unsigned active = 0;
   for (const thread_metrics& t : threads) {
-    if (t.busy_s <= 0) { continue; }
-    max_busy = std::max(max_busy, t.busy_s);
-    total_busy += t.busy_s;
+    const auto busy = static_cast<double>(t[sched_counter::busy_ns]);
+    if (busy <= 0) { continue; }
+    max_busy = std::max(max_busy, busy);
+    total_busy += busy;
     ++active;
   }
   if (active == 0) { return 0; }
@@ -105,40 +32,26 @@ double sched_metrics::load_imbalance() const {
 }
 
 double sched_metrics::steal_local_fraction() const {
-  const std::uint64_t ok = steals_ok();
+  const std::uint64_t ok = total(sched_counter::steals_ok);
   if (ok == 0) { return 1; }
-  return static_cast<double>(ok - std::min(ok, steals_remote_ok())) /
+  return static_cast<double>(ok - std::min(ok, total(sched_counter::steals_remote_ok))) /
          static_cast<double>(ok);
 }
 
 sched_metrics collect() {
   sched_metrics out;
-  for (event_ring* ring : registry::instance().rings()) {
-    const ring_counters& c = ring->counters;
+  for (event_ring* ring = registry::instance().first(); ring; ring = ring->next()) {
     thread_metrics t;
     t.ring_id = ring->id();
-    t.label = ring->label();
-    t.steals_ok = c.steals_ok.load(std::memory_order_relaxed);
-    t.steals_failed = c.steals_failed.load(std::memory_order_relaxed);
-    t.steals_remote_ok = c.steals_remote_ok.load(std::memory_order_relaxed);
-    t.steals_remote_failed =
-        c.steals_remote_failed.load(std::memory_order_relaxed);
-    t.tasks_spawned = c.tasks_spawned.load(std::memory_order_relaxed);
-    t.range_splits = c.range_splits.load(std::memory_order_relaxed);
-    t.chunks = c.chunks.load(std::memory_order_relaxed);
-    t.chunk_elems = c.chunk_elems.load(std::memory_order_relaxed);
-    t.busy_s = static_cast<double>(c.busy_ns.load(std::memory_order_relaxed)) * 1e-9;
-    t.idle_s = static_cast<double>(c.idle_ns.load(std::memory_order_relaxed)) * 1e-9;
+    for (std::size_t c = 0; c < sched_counter_count; ++c) {
+      t.counts[c] = ring->counters.load(static_cast<sched_counter>(c));
+    }
     for (std::size_t b = 0; b < hist_buckets; ++b) {
-      out.chunk_hist[b] += c.chunk_hist[b].load(std::memory_order_relaxed);
+      out.chunk_hist[b] += ring->counters.chunk_hist.counts[b].load(std::memory_order_relaxed);
     }
     out.threads.push_back(std::move(t));
   }
-  std::sort(out.threads.begin(), out.threads.end(),
-            [](const thread_metrics& a, const thread_metrics& b) {
-              return a.ring_id < b.ring_id;
-            });
-  return out;
+  return out;  // registry order is ring-id order
 }
 
 sched_metrics delta(const sched_metrics& before, const sched_metrics& after) {
@@ -149,34 +62,17 @@ sched_metrics delta(const sched_metrics& before, const sched_metrics& after) {
                      [&](const thread_metrics& b) { return b.ring_id == a.ring_id; });
     thread_metrics d = a;
     if (it != before.threads.end()) {
-      d.steals_ok = sat_sub(a.steals_ok, it->steals_ok);
-      d.steals_failed = sat_sub(a.steals_failed, it->steals_failed);
-      d.steals_remote_ok = sat_sub(a.steals_remote_ok, it->steals_remote_ok);
-      d.steals_remote_failed =
-          sat_sub(a.steals_remote_failed, it->steals_remote_failed);
-      d.tasks_spawned = sat_sub(a.tasks_spawned, it->tasks_spawned);
-      d.range_splits = sat_sub(a.range_splits, it->range_splits);
-      d.chunks = sat_sub(a.chunks, it->chunks);
-      d.chunk_elems = sat_sub(a.chunk_elems, it->chunk_elems);
-      d.busy_s = std::max(0.0, a.busy_s - it->busy_s);
-      d.idle_s = std::max(0.0, a.idle_s - it->idle_s);
+      for (std::size_t c = 0; c < sched_counter_count; ++c) {
+        d.counts[c] -= std::min(d.counts[c], it->counts[c]);
+      }
     }
     out.threads.push_back(std::move(d));
   }
   for (std::size_t b = 0; b < hist_buckets; ++b) {
-    out.chunk_hist[b] = sat_sub(after.chunk_hist[b], before.chunk_hist[b]);
+    out.chunk_hist[b] =
+        after.chunk_hist[b] - std::min(after.chunk_hist[b], before.chunk_hist[b]);
   }
   return out;
-}
-
-void fold_into_markers(const std::string& name, const sched_metrics& m) {
-  counters::counter_set sample;
-  sample.sched_steals_ok = static_cast<double>(m.steals_ok());
-  sample.sched_steals_failed = static_cast<double>(m.steals_failed());
-  sample.sched_tasks_spawned = static_cast<double>(m.tasks_spawned());
-  sample.sched_chunks = static_cast<double>(m.chunks());
-  sample.seconds = m.busy_s() + m.idle_s();
-  counters::marker_registry::instance().add(name, sample);
 }
 
 }  // namespace pstlb::trace

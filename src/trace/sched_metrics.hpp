@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -23,17 +22,14 @@ namespace pstlb::trace {
 
 struct thread_metrics {
   std::uint32_t ring_id = 0;
-  std::string label;
-  std::uint64_t steals_ok = 0;
-  std::uint64_t steals_failed = 0;
-  std::uint64_t steals_remote_ok = 0;      // subset of steals_ok
-  std::uint64_t steals_remote_failed = 0;  // subset of steals_failed
-  std::uint64_t tasks_spawned = 0;
-  std::uint64_t range_splits = 0;
-  std::uint64_t chunks = 0;
-  std::uint64_t chunk_elems = 0;
-  double busy_s = 0;
-  double idle_s = 0;
+  std::uint64_t counts[sched_counter_count] = {};
+
+  std::uint64_t& operator[](sched_counter c) noexcept {
+    return counts[static_cast<std::size_t>(c)];
+  }
+  std::uint64_t operator[](sched_counter c) const noexcept {
+    return counts[static_cast<std::size_t>(c)];
+  }
 
   /// Busy fraction of the observed (busy + idle) scheduler time; 0 when the
   /// thread recorded no spans in the window.
@@ -42,26 +38,12 @@ struct thread_metrics {
 
 struct sched_metrics {
   std::vector<thread_metrics> threads;  // one entry per ring, id-ordered
-  std::uint64_t chunk_hist[hist_buckets] = {};
+  std::uint64_t chunk_hist[hist_buckets] = {};  // metrics::quantile for p50/p95
 
-  std::uint64_t steals_ok() const;
-  std::uint64_t steals_failed() const;
-  std::uint64_t steals_remote_ok() const;
-  std::uint64_t steals_remote_failed() const;
-  std::uint64_t tasks_spawned() const;
-  std::uint64_t range_splits() const;
-  std::uint64_t chunks() const;
-  std::uint64_t chunk_elems() const;
-  double busy_s() const;
-  double idle_s() const;
+  /// `c` summed over all threads.
+  std::uint64_t total(sched_counter c) const;
 
-  /// Chunk-size percentiles from the log2 histogram; returns the lower
-  /// bound (2^bucket) of the bucket holding the percentile, 0 when no
-  /// chunks were recorded.
-  double chunk_size_p50() const;
-  double chunk_size_p95() const;
-
-  /// max / mean busy seconds over threads that did any work in the window
+  /// max / mean busy time over threads that did any work in the window
   /// (1 = perfectly balanced). 0 when no thread was busy.
   double load_imbalance() const;
 
@@ -78,9 +60,5 @@ sched_metrics collect();
 /// case a window straddles a toggle). Threads that appear only in `after`
 /// are kept whole.
 sched_metrics delta(const sched_metrics& before, const sched_metrics& after);
-
-/// Folds a window into counters::marker_registry under `name` so marker
-/// tables show scheduler telemetry next to the paper's counters.
-void fold_into_markers(const std::string& name, const sched_metrics& m);
 
 }  // namespace pstlb::trace

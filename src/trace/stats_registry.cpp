@@ -1,6 +1,6 @@
 #include "trace/stats_registry.hpp"
 
-#include <bit>
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -9,61 +9,200 @@
 #include <unistd.h>
 
 #include "bench_core/result_store.hpp"
+#include "pstlb/detail/simd/isa.hpp"
 #include "pstlb/env.hpp"
 #include "sched/arena.hpp"
+#include "trace/trace.hpp"
 
 namespace pstlb::stats {
 
 namespace {
 
+using metrics::kind;
+
 struct alignas(cache_line_size) op_slot {
   std::atomic<std::uint64_t> calls{0};
   std::atomic<std::uint64_t> total_ns{0};
   std::atomic<std::uint64_t> max_ns{0};
-  std::atomic<std::uint64_t> hist[latency_buckets] = {};
+  metrics::log2_hist<metrics::ns_buckets> hist;
 };
 
-/// The whole registry is one static array — no allocation, no registration,
-/// valid from before main() to after static destruction (atexit + signal
-/// dumps read it late).
-op_slot& slot(op o) noexcept {
-  static op_slot table[op_count];
-  return table[static_cast<std::size_t>(o)];
-}
+/// The whole registry is one constant-initialized array — no allocation, no
+/// registration, valid from before main() to after static destruction
+/// (atexit + signal dumps read it late).
+constinit op_slot g_slots[op_count];
 
-std::size_t bucket_of(std::uint64_t ns) noexcept {
-  const std::size_t b =
-      ns == 0 ? 0 : static_cast<std::size_t>(std::bit_width(ns) - 1);
-  return b < latency_buckets ? b : latency_buckets - 1;
-}
+constexpr std::string_view k_op_names[] = {PSTLB_STATS_OPS(PSTLB_METRICS_NAME)};
 
-/// Integer formatter for the async-signal-safe dump: writes `v` into `buf`
-/// (which must hold >= 21 bytes) and returns the digit count.
-std::size_t format_u64(std::uint64_t v, char* buf) noexcept {
-  char tmp[20];
-  std::size_t n = 0;
-  do {
-    tmp[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  for (std::size_t i = 0; i < n; ++i) { buf[i] = tmp[n - 1 - i]; }
-  return n;
-}
+constexpr metrics::field k_op_fields[] = {
+    {"calls", "pstlb_calls_total", kind::counter, metrics::read<&op_slot::calls>},
+    {"total_ns", "pstlb_call_ns_total", kind::counter,
+     metrics::read<&op_slot::total_ns>},
+    {"max_ns", "pstlb_call_ns_max", kind::gauge, metrics::read<&op_slot::max_ns>},
+    {"", "pstlb_latency_ns", kind::summary, metrics::read<&op_slot::hist>},
+};
 
-void write_all(int fd, const char* data, std::size_t len) noexcept {
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w <= 0) { return; }
-    data += w;
-    len -= static_cast<std::size_t>(w);
+/// Rows are the ops that recorded at least one call, enum-ordered.
+constinit const metrics::family k_ops{
+    "ops", "op", k_op_fields,
+    [](const void* row) noexcept -> const void* {
+      const op_slot* s =
+          row == nullptr ? g_slots : static_cast<const op_slot*>(row) + 1;
+      for (; s != g_slots + op_count; ++s) {
+        if (s->calls.load(std::memory_order_relaxed) != 0) { return s; }
+      }
+      return nullptr;
+    },
+    [](const void* row) noexcept {
+      return op_name(static_cast<op>(static_cast<const op_slot*>(row) - g_slots));
+    }};
+
+constinit const metrics::family* const k_families[] = {
+    &k_ops, &sched::arena::metrics_family, &trace::sched_family,
+    &simd::leaf_family};
+
+/// Summary quantiles: JSON/dump key, Prometheus quantile label, q.
+constexpr struct { std::string_view key, label; double q; } k_quantiles[] = {
+    {"p50_ns", "0.5", 0.50}, {"p95_ns", "0.95", 0.95}, {"p99_ns", "0.99", 0.99}};
+
+/// Calls emit(key, label, value) for every scalar `f` exports on `row`: a
+/// plain counter/gauge once, a labelled field once per label, a summary once
+/// per quantile (its histogram is left in `hist`). Allocation-free.
+template <class Emit>
+void for_each_scalar(const metrics::field& f, const void* row,
+                     std::uint64_t (&hist)[metrics::ns_buckets], Emit&& emit) {
+  if (f.type == kind::summary) {
+    for (std::size_t b = 0; b < metrics::ns_buckets; ++b) { hist[b] = f.get(row, b); }
+    for (const auto& q : k_quantiles) {
+      emit(q.key, q.label, static_cast<std::uint64_t>(metrics::quantile(hist, q.q)));
+    }
+  } else if (!f.labels.empty()) {
+    for (std::size_t i = 0; i < f.labels.size(); ++i) {
+      emit(f.labels[i], f.labels[i], f.get(row, i));
+    }
+  } else {
+    emit(std::string_view{}, std::string_view{}, f.get(row, 0));
   }
 }
+
+/// One row as a JSON object ({"op":"reduce","calls":1,...}) or as a dump
+/// line ("pstlb_stats op=reduce calls=1 ..."): the same keys and values.
+template <class Out>
+void write_row(Out& out, const metrics::family& fam, const void* row, bool json) {
+  const std::string_view quote = json ? "\"" : "";
+  const std::string_view eq = json ? "\":" : "=";
+  bool first = true;
+  auto item = [&]() -> Out& {
+    if (!first || !json) { out << (json ? "," : " "); }
+    first = false;
+    return out;
+  };
+  out << (json ? "{" : "pstlb_stats");
+  if (!fam.row_key.empty()) {
+    item() << quote << fam.row_key << eq << quote << fam.name(row) << quote;
+  } else if (!json) {
+    item() << fam.json;
+  }
+  std::uint64_t hist[metrics::ns_buckets];
+  for (const metrics::field& f : fam.fields) {
+    for_each_scalar(f, row, hist, [&](std::string_view key, std::string_view,
+                                      std::uint64_t v) {
+      item() << quote << f.json << key << eq << v;
+    });
+    if (json && f.type == kind::summary) {
+      // Trailing zero buckets are elided (the reader treats missing as zero).
+      std::size_t last = metrics::ns_buckets;
+      while (last > 0 && hist[last - 1] == 0) { --last; }
+      item() << quote << f.json << "hist" << eq << "[";
+      for (std::size_t b = 0; b < last; ++b) { out << (b != 0 ? "," : "") << hist[b]; }
+      out << "]";
+    }
+  }
+  out << (json ? "}" : "\n");
+}
+
+/// Holds a family's guard (if any) for the duration of a stream write.
+std::unique_lock<std::mutex> hold(const metrics::family& fam) {
+  return fam.guard != nullptr ? std::unique_lock(*fam.guard)
+                              : std::unique_lock<std::mutex>();
+}
+
+void write_family_json(std::ostream& os, const metrics::family& fam) {
+  const auto lock = hold(fam);
+  os << ",\"" << fam.json << "\":[";
+  const char* sep = "";
+  for (const void* row = fam.next(nullptr); row != nullptr; row = fam.next(row)) {
+    os << sep;
+    sep = ",";
+    write_row(os, fam, row, true);
+  }
+  os << ']';
+}
+
+void write_family_prometheus(std::ostream& os, const metrics::family& fam) {
+  const auto lock = hold(fam);
+  if (fam.next(nullptr) == nullptr) { return; }
+  constexpr std::string_view type_names[] = {"counter", "gauge", "summary"};
+  for (const metrics::field& f : fam.fields) {
+    os << "# TYPE " << f.prom << ' ' << type_names[static_cast<int>(f.type)] << '\n';
+    const std::string_view label_key =
+        f.type == kind::summary ? std::string_view("quantile") : f.label;
+    for (const void* row = fam.next(nullptr); row != nullptr; row = fam.next(row)) {
+      // name{row_key="row",label_key="value"} v, omitting absent labels.
+      auto sample = [&](std::string_view suffix, std::string_view value,
+                        std::uint64_t v) {
+        const bool named = !fam.row_key.empty();
+        os << f.prom << suffix << '{';
+        if (named) { os << fam.row_key << "=\"" << fam.name(row) << '"'; }
+        if (!value.empty()) { os << (named ? "," : "") << label_key << "=\"" << value << '"'; }
+        os << "} " << v << '\n';
+      };
+      std::uint64_t hist[metrics::ns_buckets];
+      for_each_scalar(f, row, hist, [&](std::string_view, std::string_view label,
+                                        std::uint64_t v) { sample({}, label, v); });
+      if (f.type == kind::summary) {
+        std::uint64_t count = 0;
+        for (const std::uint64_t c : hist) { count += c; }
+        sample("_count", {}, count);
+      }
+    }
+  }
+}
+
+/// Fixed-buffer writer for the async-signal-safe dump: integers only, no
+/// iostreams, no locale, no allocation, raw ::write.
+struct fd_writer {
+  int fd;
+  char buf[512] = {};
+  std::size_t len = 0;
+
+  void flush() noexcept {
+    for (std::size_t off = 0; off < len;) {
+      const ssize_t w = ::write(fd, buf + off, len - off);
+      if (w <= 0) { break; }
+      off += static_cast<std::size_t>(w);
+    }
+    len = 0;
+  }
+  fd_writer& operator<<(std::string_view text) noexcept {
+    for (const char c : text) {
+      if (len == sizeof(buf)) { flush(); }
+      buf[len++] = c;
+    }
+    return *this;
+  }
+  fd_writer& operator<<(std::uint64_t v) noexcept {
+    char digits[20];  // std::to_chars: no locale, no allocation
+    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+    return *this << std::string_view(digits, static_cast<std::size_t>(end - digits));
+  }
+};
 
 extern "C" void stats_sigusr2_handler(int) { signal_safe_dump(STDERR_FILENO); }
 
 /// Reads PSTLB_STATS / PSTLB_STATS_FILE at static-init time (before any
-/// instrumented call can run), registers the at-exit JSON dump and the
-/// SIGUSR2 live-dump handler.
+/// instrumented call can run), registers the at-exit dump and the SIGUSR2
+/// live-dump handler.
 struct env_init {
   env_init() {
     const bool file_set = !env::string_or("PSTLB_STATS_FILE", "").empty();
@@ -82,139 +221,21 @@ struct env_init {
 };
 env_init g_env_init;
 
-void write_op_json(std::ostream& os, const op_snapshot& s) {
-  os << "{\"op\":\"" << op_name(s.o) << "\",\"calls\":" << s.calls
-     << ",\"total_ns\":" << s.total_ns << ",\"max_ns\":" << s.max_ns
-     << ",\"p50_ns\":" << s.p50_ns() << ",\"p95_ns\":" << s.p95_ns()
-     << ",\"p99_ns\":" << s.p99_ns() << ",\"hist\":[";
-  // Trailing zero buckets are elided (the reader treats missing as zero).
-  std::size_t last = 0;
-  for (std::size_t b = 0; b < latency_buckets; ++b) {
-    if (s.hist[b] != 0) { last = b + 1; }
-  }
-  for (std::size_t b = 0; b < last; ++b) {
-    if (b != 0) { os << ','; }
-    os << s.hist[b];
-  }
-  os << "]}";
-}
-
-void write_arena_json(std::ostream& os, const sched::arena_snapshot& s) {
-  os << "{\"arena\":\"" << s.name << "\",\"cap\":" << s.cap
-     << ",\"admitted\":" << s.admitted << ",\"completed\":" << s.completed
-     << ",\"sequential_cap\":" << s.sequential_cap
-     << ",\"shed_saturated\":" << s.shed_saturated
-     << ",\"shed_deadline\":" << s.shed_deadline
-     << ",\"shed_spawnfail\":" << s.shed_spawnfail
-     << ",\"shed_oom\":" << s.shed_oom
-     << ",\"watchdog_fires\":" << s.watchdog_fires
-     << ",\"nested_runs\":" << s.nested_runs
-     << ",\"nested_helps\":" << s.nested_helps
-     << ",\"peak_pending\":" << s.peak_pending << ",\"calls\":" << s.calls
-     << ",\"p50_ns\":" << s.p50_ns() << ",\"p95_ns\":" << s.p95_ns()
-     << ",\"p99_ns\":" << s.p99_ns() << "}";
-}
-
 }  // namespace
 
 std::string_view op_name(op o) noexcept {
-  switch (o) {
-    case op::for_each: return "for_each";
-    case op::for_each_n: return "for_each_n";
-    case op::transform: return "transform";
-    case op::fill: return "fill";
-    case op::fill_n: return "fill_n";
-    case op::generate: return "generate";
-    case op::generate_n: return "generate_n";
-    case op::copy: return "copy";
-    case op::copy_n: return "copy_n";
-    case op::move: return "move";
-    case op::swap_ranges: return "swap_ranges";
-    case op::replace: return "replace";
-    case op::replace_if: return "replace_if";
-    case op::replace_copy: return "replace_copy";
-    case op::reverse: return "reverse";
-    case op::reverse_copy: return "reverse_copy";
-    case op::rotate_copy: return "rotate_copy";
-    case op::shift_left: return "shift_left";
-    case op::shift_right: return "shift_right";
-    case op::rotate: return "rotate";
-    case op::adjacent_difference: return "adjacent_difference";
-    case op::destroy: return "destroy";
-    case op::destroy_n: return "destroy_n";
-    case op::uninitialized_default_construct: return "uninitialized_default_construct";
-    case op::uninitialized_value_construct: return "uninitialized_value_construct";
-    case op::uninitialized_fill: return "uninitialized_fill";
-    case op::uninitialized_copy: return "uninitialized_copy";
-    case op::uninitialized_move: return "uninitialized_move";
-    case op::reduce: return "reduce";
-    case op::transform_reduce: return "transform_reduce";
-    case op::count_if: return "count_if";
-    case op::count: return "count";
-    case op::min_element: return "min_element";
-    case op::max_element: return "max_element";
-    case op::minmax_element: return "minmax_element";
-    case op::find_if: return "find_if";
-    case op::find_if_not: return "find_if_not";
-    case op::find: return "find";
-    case op::any_of: return "any_of";
-    case op::none_of: return "none_of";
-    case op::all_of: return "all_of";
-    case op::adjacent_find: return "adjacent_find";
-    case op::mismatch: return "mismatch";
-    case op::equal: return "equal";
-    case op::is_sorted_until: return "is_sorted_until";
-    case op::is_sorted: return "is_sorted";
-    case op::is_heap_until: return "is_heap_until";
-    case op::is_heap: return "is_heap";
-    case op::is_partitioned: return "is_partitioned";
-    case op::lexicographical_compare: return "lexicographical_compare";
-    case op::find_first_of: return "find_first_of";
-    case op::search: return "search";
-    case op::search_n: return "search_n";
-    case op::find_end: return "find_end";
-    case op::inclusive_scan: return "inclusive_scan";
-    case op::exclusive_scan: return "exclusive_scan";
-    case op::transform_inclusive_scan: return "transform_inclusive_scan";
-    case op::transform_exclusive_scan: return "transform_exclusive_scan";
-    case op::copy_if: return "copy_if";
-    case op::remove_copy: return "remove_copy";
-    case op::remove_copy_if: return "remove_copy_if";
-    case op::partition_copy: return "partition_copy";
-    case op::unique_copy: return "unique_copy";
-    case op::remove_if: return "remove_if";
-    case op::remove: return "remove";
-    case op::unique: return "unique";
-    case op::set_union: return "set_union";
-    case op::set_intersection: return "set_intersection";
-    case op::set_difference: return "set_difference";
-    case op::set_symmetric_difference: return "set_symmetric_difference";
-    case op::includes: return "includes";
-    case op::sort: return "sort";
-    case op::stable_sort: return "stable_sort";
-    case op::merge: return "merge";
-    case op::inplace_merge: return "inplace_merge";
-    case op::stable_partition: return "stable_partition";
-    case op::partition: return "partition";
-    case op::nth_element: return "nth_element";
-    case op::partial_sort: return "partial_sort";
-    case op::partial_sort_copy: return "partial_sort_copy";
-    case op::op_count: break;
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(o);
+  return i < op_count ? k_op_names[i] : "unknown";
 }
 
 namespace detail {
 
 void record(op o, std::uint64_t ns) noexcept {
-  op_slot& s = slot(o);
+  op_slot& s = g_slots[static_cast<std::size_t>(o)];
   s.calls.fetch_add(1, std::memory_order_relaxed);
   s.total_ns.fetch_add(ns, std::memory_order_relaxed);
-  s.hist[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t seen = s.max_ns.load(std::memory_order_relaxed);
-  while (ns > seen &&
-         !s.max_ns.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
-  }
+  s.hist.record(ns);
+  metrics::fetch_max(s.max_ns, ns);
 }
 
 }  // namespace detail
@@ -223,45 +244,27 @@ void set_enabled(bool on) noexcept {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-double op_snapshot::quantile_ns(double q) const noexcept {
-  if (calls == 0) { return 0; }
-  const double target = q * static_cast<double>(calls);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < latency_buckets; ++b) {
-    seen += hist[b];
-    if (static_cast<double>(seen) >= target) {
-      return b == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << b);
-    }
-  }
-  return static_cast<double>(std::uint64_t{1} << (latency_buckets - 1));
-}
-
 std::vector<op_snapshot> snapshot() {
   std::vector<op_snapshot> out;
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const op o = static_cast<op>(i);
-    const op_slot& s = slot(o);
+  for (const void* row = k_ops.next(nullptr); row != nullptr; row = k_ops.next(row)) {
+    const op_slot& s = *static_cast<const op_slot*>(row);
     op_snapshot snap;
-    snap.o = o;
+    snap.o = static_cast<op>(&s - g_slots);
     snap.calls = s.calls.load(std::memory_order_relaxed);
-    if (snap.calls == 0) { continue; }
     snap.total_ns = s.total_ns.load(std::memory_order_relaxed);
     snap.max_ns = s.max_ns.load(std::memory_order_relaxed);
-    for (std::size_t b = 0; b < latency_buckets; ++b) {
-      snap.hist[b] = s.hist[b].load(std::memory_order_relaxed);
-    }
+    s.hist.load(snap.hist);
     out.push_back(snap);
   }
   return out;
 }
 
 void reset() {
-  for (std::size_t i = 0; i < op_count; ++i) {
-    op_slot& s = slot(static_cast<op>(i));
+  for (op_slot& s : g_slots) {
     s.calls.store(0, std::memory_order_relaxed);
     s.total_ns.store(0, std::memory_order_relaxed);
     s.max_ns.store(0, std::memory_order_relaxed);
-    for (auto& h : s.hist) { h.store(0, std::memory_order_relaxed); }
+    for (auto& c : s.hist.counts) { c.store(0, std::memory_order_relaxed); }
   }
 }
 
@@ -271,74 +274,13 @@ void write_json(std::ostream& os) {
   std::string envelope;
   bench::results::append_envelope_json(bench::results::current_envelope("stats"),
                                        envelope);
-  os << "{\"envelope\":" << envelope << ",\"ops\":[";
-  bool first = true;
-  for (const op_snapshot& s : snapshot()) {
-    if (!first) { os << ','; }
-    first = false;
-    write_op_json(os, s);
-  }
-  // Arena admission/degradation counters and per-caller latency quantiles —
-  // the multi-tenant side of the same observability story (DESIGN.md §17).
-  os << "],\"arenas\":[";
-  first = true;
-  for (const sched::arena_snapshot& s : sched::arena::snapshot_all()) {
-    if (!first) { os << ','; }
-    first = false;
-    write_arena_json(os, s);
-  }
-  os << "]}\n";
+  os << "{\"envelope\":" << envelope;
+  for (const metrics::family* fam : k_families) { write_family_json(os, *fam); }
+  os << "}\n";
 }
 
 void write_prometheus(std::ostream& os) {
-  const auto snaps = snapshot();
-  os << "# TYPE pstlb_calls_total counter\n";
-  for (const op_snapshot& s : snaps) {
-    os << "pstlb_calls_total{op=\"" << op_name(s.o) << "\"} " << s.calls << '\n';
-  }
-  os << "# TYPE pstlb_latency_ns summary\n";
-  for (const op_snapshot& s : snaps) {
-    const std::string_view name = op_name(s.o);
-    os << "pstlb_latency_ns{op=\"" << name << "\",quantile=\"0.5\"} "
-       << s.p50_ns() << '\n';
-    os << "pstlb_latency_ns{op=\"" << name << "\",quantile=\"0.95\"} "
-       << s.p95_ns() << '\n';
-    os << "pstlb_latency_ns{op=\"" << name << "\",quantile=\"0.99\"} "
-       << s.p99_ns() << '\n';
-    os << "pstlb_latency_ns_sum{op=\"" << name << "\"} " << s.total_ns << '\n';
-    os << "pstlb_latency_ns_count{op=\"" << name << "\"} " << s.calls << '\n';
-    os << "pstlb_latency_ns_max{op=\"" << name << "\"} " << s.max_ns << '\n';
-  }
-  const auto arenas = sched::arena::snapshot_all();
-  if (!arenas.empty()) {
-    os << "# TYPE pstlb_arena_admitted_total counter\n";
-    for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_admitted_total{arena=\"" << a.name << "\"} "
-         << a.admitted << '\n';
-    }
-    os << "# TYPE pstlb_arena_shed_total counter\n";
-    for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
-         << "\",reason=\"saturated\"} " << a.shed_saturated << '\n';
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
-         << "\",reason=\"deadline\"} " << a.shed_deadline << '\n';
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
-         << "\",reason=\"spawnfail\"} " << a.shed_spawnfail << '\n';
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
-         << "\",reason=\"oom\"} " << a.shed_oom << '\n';
-    }
-    os << "# TYPE pstlb_arena_call_latency_ns summary\n";
-    for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_call_latency_ns{arena=\"" << a.name
-         << "\",quantile=\"0.5\"} " << a.p50_ns() << '\n';
-      os << "pstlb_arena_call_latency_ns{arena=\"" << a.name
-         << "\",quantile=\"0.95\"} " << a.p95_ns() << '\n';
-      os << "pstlb_arena_call_latency_ns{arena=\"" << a.name
-         << "\",quantile=\"0.99\"} " << a.p99_ns() << '\n';
-      os << "pstlb_arena_call_latency_ns_count{arena=\"" << a.name << "\"} "
-         << a.calls << '\n';
-    }
-  }
+  for (const metrics::family* fam : k_families) { write_family_prometheus(os, *fam); }
 }
 
 bool dump_to_env_file() {
@@ -358,35 +300,14 @@ bool dump_to_env_file() {
 }
 
 void signal_safe_dump(int fd) noexcept {
-  // One line per live op: "pstlb_stats op=<name> calls=<n> total_ns=<n>
-  // max_ns=<n>\n". Integers only — no iostreams, no locale, no allocation.
-  char buf[256];
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const op o = static_cast<op>(i);
-    const op_slot& s = slot(o);
-    const std::uint64_t calls = s.calls.load(std::memory_order_relaxed);
-    if (calls == 0) { continue; }
-    std::size_t len = 0;
-    auto append = [&](std::string_view text) {
-      for (const char c : text) {
-        if (len < sizeof(buf)) { buf[len++] = c; }
-      }
-    };
-    auto append_u64 = [&](std::uint64_t v) {
-      char digits[21];
-      const std::size_t n = format_u64(v, digits);
-      append(std::string_view(digits, n));
-    };
-    append("pstlb_stats op=");
-    append(op_name(o));
-    append(" calls=");
-    append_u64(calls);
-    append(" total_ns=");
-    append_u64(s.total_ns.load(std::memory_order_relaxed));
-    append(" max_ns=");
-    append_u64(s.max_ns.load(std::memory_order_relaxed));
-    append("\n");
-    write_all(fd, buf, len);
+  // Walks the same family tables without their guards: a signal may land
+  // while the interrupted thread holds one.
+  fd_writer out{fd};
+  for (const metrics::family* fam : k_families) {
+    for (const void* row = fam->next(nullptr); row != nullptr; row = fam->next(row)) {
+      write_row(out, *fam, row, false);
+      out.flush();
+    }
   }
 }
 

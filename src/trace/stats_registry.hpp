@@ -4,7 +4,9 @@
 // scoped_call naming its op. The registry keeps, per op, an invocation
 // counter and a log2-bucketed latency histogram from which p50/p95/p99/max
 // are derived — the observability primitive a long-running process queries
-// without enabling the (much heavier) event-ring tracer.
+// without enabling the (much heavier) event-ring tracer. Its writers are
+// also the one exporter of every process-wide metric family (metrics.hpp):
+// ops, arenas, scheduler totals and SIMD leaves.
 //
 // Design constraints, in order:
 //   1. Disabled hot path is ONE relaxed atomic load + branch per call
@@ -22,60 +24,50 @@
 //
 // Environment:
 //   PSTLB_STATS=1       enable at process start
-//   PSTLB_STATS_FILE=f  write a JSON summary to `f` at exit (implies enable)
+//   PSTLB_STATS_FILE=f  write the families to `f` at exit (implies enable):
+//                       Prometheus text when `f` ends in ".prom", else JSON
 // While enabled, SIGUSR2 triggers an async-signal-safe live dump to stderr
 // (integer-only formatting, raw ::write — same discipline as the bench
 // report's crash flush).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
 #include <vector>
 
 #include "pstlb/common.hpp"
+#include "trace/metrics.hpp"
 
 namespace pstlb::stats {
 
-/// One entry per front-end algorithm name. Order is the registry's storage
-/// order; append only (dumps key by name, not index).
-enum class op : std::uint16_t {
-  // algo_foreach.hpp
-  for_each, for_each_n, transform, fill, fill_n, generate, generate_n,
-  copy, copy_n, move, swap_ranges, replace, replace_if, replace_copy,
-  reverse, reverse_copy, rotate_copy, shift_left, shift_right, rotate,
-  adjacent_difference, destroy, destroy_n, uninitialized_default_construct,
-  uninitialized_value_construct, uninitialized_fill, uninitialized_copy,
-  uninitialized_move,
-  // algo_reduce.hpp
-  reduce, transform_reduce, count_if, count, min_element, max_element,
-  minmax_element, find_if, find_if_not, find, any_of, none_of, all_of,
-  adjacent_find, mismatch, equal, is_sorted_until, is_sorted, is_heap_until,
-  is_heap, is_partitioned, lexicographical_compare, find_first_of, search,
-  search_n, find_end,
-  // algo_scan.hpp
-  inclusive_scan, exclusive_scan, transform_inclusive_scan,
-  transform_exclusive_scan, copy_if, remove_copy, remove_copy_if,
-  partition_copy, unique_copy, remove_if, remove, unique,
-  // algo_set.hpp
-  set_union, set_intersection, set_difference, set_symmetric_difference,
-  includes,
-  // algo_sort.hpp
-  sort, stable_sort, merge, inplace_merge, stable_partition, partition,
-  nth_element, partial_sort, partial_sort_copy,
-  op_count,
-};
+/// Every front-end algorithm name (algo_foreach, algo_reduce, algo_scan,
+/// algo_set, algo_sort order): the registry's storage order. Append only
+/// (dumps key by name, not index).
+#define PSTLB_STATS_OPS(X)                                                             \
+  X(for_each) X(for_each_n) X(transform) X(fill) X(fill_n) X(generate) X(generate_n)   \
+  X(copy) X(copy_n) X(move) X(swap_ranges) X(replace) X(replace_if) X(replace_copy)    \
+  X(reverse) X(reverse_copy) X(rotate_copy) X(shift_left) X(shift_right) X(rotate)     \
+  X(adjacent_difference) X(destroy) X(destroy_n) X(uninitialized_default_construct)    \
+  X(uninitialized_value_construct) X(uninitialized_fill) X(uninitialized_copy)         \
+  X(uninitialized_move) X(reduce) X(transform_reduce) X(count_if) X(count)             \
+  X(min_element) X(max_element) X(minmax_element) X(find_if) X(find_if_not) X(find)    \
+  X(any_of) X(none_of) X(all_of) X(adjacent_find) X(mismatch) X(equal)                 \
+  X(is_sorted_until) X(is_sorted) X(is_heap_until) X(is_heap) X(is_partitioned)        \
+  X(lexicographical_compare) X(find_first_of) X(search) X(search_n) X(find_end)        \
+  X(inclusive_scan) X(exclusive_scan) X(transform_inclusive_scan)                      \
+  X(transform_exclusive_scan) X(copy_if) X(remove_copy) X(remove_copy_if)              \
+  X(partition_copy) X(unique_copy) X(remove_if) X(remove) X(unique) X(set_union)       \
+  X(set_intersection) X(set_difference) X(set_symmetric_difference) X(includes)        \
+  X(sort) X(stable_sort) X(merge) X(inplace_merge) X(stable_partition) X(partition)    \
+  X(nth_element) X(partial_sort) X(partial_sort_copy)
+
+enum class op : std::uint16_t { PSTLB_STATS_OPS(PSTLB_METRICS_ENUM) op_count };
 
 inline constexpr std::size_t op_count = static_cast<std::size_t>(op::op_count);
 
 std::string_view op_name(op o) noexcept;
-
-/// Log2-ns latency histogram resolution: bucket b counts calls whose
-/// duration lies in [2^b, 2^(b+1)) ns (bucket 0 also holds 0 ns); 2^62 ns
-/// (~146 years) saturates into the last bucket.
-inline constexpr std::size_t latency_buckets = 63;
 
 namespace detail {
 
@@ -85,13 +77,6 @@ inline std::atomic<bool> g_enabled{false};
 /// phase calls only record at depth 0. Plain int thread_local: no dynamic
 /// init, so the access is a TLS offset load, not a guarded call.
 inline thread_local unsigned g_depth = 0;
-
-inline std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void record(op o, std::uint64_t ns) noexcept;
 
@@ -112,12 +97,12 @@ class scoped_call {
   explicit scoped_call(op o) noexcept : op_(o) {
     if (!enabled()) { return; }
     entered_ = true;
-    if (++detail::g_depth == 1) { t0_ = detail::now_ns(); }
+    if (++detail::g_depth == 1) { t0_ = metrics::now_ns(); }
   }
   ~scoped_call() {
     if (!entered_) { return; }
     if (--detail::g_depth == 0 && t0_ != 0) {
-      detail::record(op_, detail::now_ns() - t0_);
+      detail::record(op_, metrics::now_ns() - t0_);
     }
   }
   scoped_call(const scoped_call&) = delete;
@@ -130,20 +115,15 @@ class scoped_call {
 };
 
 /// Point-in-time copy of one op's counters (relaxed reads; exact once the
-/// callers quiesce, racy-but-consistent-enough while they run).
+/// callers quiesce, racy-but-consistent-enough while they run). Quantiles:
+/// metrics::quantile(hist, q).
 struct op_snapshot {
   op o = op::op_count;
   std::uint64_t calls = 0;
   std::uint64_t total_ns = 0;
   std::uint64_t max_ns = 0;
-  std::uint64_t hist[latency_buckets] = {};
+  std::uint64_t hist[metrics::ns_buckets] = {};
 
-  /// Histogram quantile: lower bound (2^bucket ns) of the bucket holding
-  /// the q-th call; 0 when no calls were recorded.
-  double quantile_ns(double q) const noexcept;
-  double p50_ns() const noexcept { return quantile_ns(0.50); }
-  double p95_ns() const noexcept { return quantile_ns(0.95); }
-  double p99_ns() const noexcept { return quantile_ns(0.99); }
   double mean_ns() const noexcept {
     return calls > 0 ? static_cast<double>(total_ns) / static_cast<double>(calls) : 0;
   }
@@ -155,10 +135,15 @@ std::vector<op_snapshot> snapshot();
 /// Zeroes every counter (tests; not async-signal-safe).
 void reset();
 
-/// JSON document: {"ops":[{"op":...,"calls":...,...}]}.
+/// The writers export every family in this order: ops, arenas, scheduler
+/// totals (only while tracing is on) and SIMD leaves per ISA.
+///
+/// JSON document: {"envelope":{...},"ops":[{"op":...,"calls":...}],
+/// "arenas":[...],"sched":[...],"simd":[...]}.
 void write_json(std::ostream& os);
 
-/// Prometheus text exposition (pstlb_calls_total, pstlb_latency_ns{...}).
+/// Prometheus text exposition of the same families (pstlb_calls_total,
+/// pstlb_latency_ns{...}, pstlb_arena_*, pstlb_sched_total, pstlb_simd_*).
 void write_prometheus(std::ostream& os);
 
 /// Writes the JSON summary to PSTLB_STATS_FILE; false when the variable is
@@ -166,8 +151,9 @@ void write_prometheus(std::ostream& os);
 /// is set.
 bool dump_to_env_file();
 
-/// Async-signal-safe dump of the live counters to `fd` (integers only,
-/// hand-rolled formatting, raw ::write). The SIGUSR2 handler calls this.
+/// Async-signal-safe dump of the same families to `fd`, one line per row
+/// ("pstlb_stats op=reduce calls=1 ..."; integers only, hand-rolled
+/// formatting, raw ::write). The SIGUSR2 handler calls this.
 void signal_safe_dump(int fd) noexcept;
 
 }  // namespace pstlb::stats

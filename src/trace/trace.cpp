@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -14,27 +13,14 @@ namespace pstlb::trace {
 
 namespace {
 
-std::uint64_t steady_now_raw() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Process trace epoch, fixed at first use so exported timestamps are small.
 std::uint64_t epoch_ns() {
-  static const std::uint64_t epoch = steady_now_raw();
+  static const std::uint64_t epoch = metrics::now_ns();
   return epoch;
 }
 
 /// Events per thread ring; the oldest event is overwritten when full.
 constexpr std::size_t ring_capacity = std::size_t{1} << 14;
-
-std::size_t hist_bucket(std::uint64_t elems) {
-  const std::size_t b =
-      elems == 0 ? 0 : static_cast<std::size_t>(std::bit_width(elems) - 1);
-  return b < hist_buckets ? b : hist_buckets - 1;
-}
 
 // Reads PSTLB_TRACE at static-init time (before any pool thread can exist)
 // and registers the at-exit exporter. Programmatic set_enabled() still works
@@ -130,25 +116,19 @@ std::string event_ring::label() const {
 }
 
 registry& registry::instance() {
-  // Leaked: the at-exit exporter must outlive static destruction.
-  static registry* r = new registry;
-  return *r;
+  // Constant-initialized and trivially destructible: valid for the at-exit
+  // exporter after static destruction and for a signal handler at any time.
+  static constinit registry r;
+  return r;
 }
 
 event_ring& registry::create_ring() {
+  auto* ring = new event_ring(ring_capacity);  // leaked, see registry
   std::lock_guard lock(mutex_);
-  auto ring = std::make_unique<event_ring>(ring_capacity);
-  ring->id_ = static_cast<std::uint32_t>(rings_.size());
-  rings_.push_back(std::move(ring));
-  return *rings_.back();
-}
-
-std::vector<event_ring*> registry::rings() const {
-  std::lock_guard lock(mutex_);
-  std::vector<event_ring*> out;
-  out.reserve(rings_.size());
-  for (const auto& r : rings_) { out.push_back(r.get()); }
-  return out;
+  ring->id_ = tail_ != nullptr ? tail_->id_ + 1 : 0;
+  (tail_ != nullptr ? tail_->next_ : head_).store(ring, std::memory_order_release);
+  tail_ = ring;
+  return *ring;
 }
 
 event_ring& local_ring() {
@@ -161,7 +141,7 @@ void set_enabled(bool on) noexcept {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-std::uint64_t now_ns() noexcept { return steady_now_raw() - epoch_ns(); }
+std::uint64_t now_ns() noexcept { return metrics::now_ns() - epoch_ns(); }
 
 void set_thread_label(std::string_view label) {
   local_ring().set_label(std::string(label));
@@ -184,18 +164,29 @@ std::vector<std::pair<std::string, std::vector<counter_sample>>> counter_series(
   return out;
 }
 
-sched_totals totals() noexcept {
-  sched_totals out;
-  if (!enabled()) { return out; }
-  for (event_ring* ring : registry::instance().rings()) {
-    const ring_counters& c = ring->counters;
-    out.steals_ok += c.steals_ok.load(std::memory_order_relaxed);
-    out.steals_failed += c.steals_failed.load(std::memory_order_relaxed);
-    out.tasks_spawned += c.tasks_spawned.load(std::memory_order_relaxed);
-    out.chunks += c.chunks.load(std::memory_order_relaxed);
-  }
-  return out;
-}
+namespace {
+
+constexpr std::string_view k_sched_counter_names[] = {
+    PSTLB_SCHED_COUNTERS(PSTLB_METRICS_NAME)};
+
+constexpr metrics::field k_sched_fields[] = {
+    {"", "pstlb_sched_total", metrics::kind::counter,
+     [](const void*, std::size_t c) noexcept {
+       std::uint64_t sum = 0;
+       for (event_ring* r = registry::instance().first(); r != nullptr; r = r->next()) {
+         sum += r->counters.load(static_cast<sched_counter>(c));
+       }
+       return sum;
+     },
+     "counter", k_sched_counter_names},
+};
+
+}  // namespace
+
+constinit const metrics::family sched_family{
+    "sched", "", k_sched_fields, [](const void* row) noexcept {
+      return enabled() ? metrics::one_row(row) : nullptr;
+    }};
 
 namespace detail {
 
@@ -206,15 +197,14 @@ void record_span_slow(pool_id p, event_kind k, std::uint64_t begin_ns,
   const std::uint64_t dur = end_ns > begin_ns ? end_ns - begin_ns : 0;
   switch (k) {
     case event_kind::chunk:
-      ring.counters.chunks.fetch_add(1, std::memory_order_relaxed);
-      ring.counters.chunk_elems.fetch_add(arg, std::memory_order_relaxed);
-      ring.counters.chunk_hist[hist_bucket(arg)].fetch_add(
-          1, std::memory_order_relaxed);
-      ring.counters.busy_ns.fetch_add(dur, std::memory_order_relaxed);
+      ring.counters.add(sched_counter::chunks, 1);
+      ring.counters.add(sched_counter::chunk_elems, arg);
+      ring.counters.chunk_hist.record(arg);
+      ring.counters.add(sched_counter::busy_ns, dur);
       break;
     case event_kind::idle:
     case event_kind::lookback:
-      ring.counters.idle_ns.fetch_add(dur, std::memory_order_relaxed);
+      ring.counters.add(sched_counter::idle_ns, dur);
       break;
     default:
       break;  // region spans: busy time is accounted by their chunks
@@ -225,25 +215,21 @@ void record_span_slow(pool_id p, event_kind k, std::uint64_t begin_ns,
 void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
                          std::uint64_t link) noexcept {
   event_ring& ring = local_ring();
+  const bool remote = (arg & steal_remote_bit) != 0;
   switch (k) {
     case event_kind::steal_ok:
-      ring.counters.steals_ok.fetch_add(1, std::memory_order_relaxed);
-      if ((arg & steal_remote_bit) != 0) {
-        ring.counters.steals_remote_ok.fetch_add(1, std::memory_order_relaxed);
-      }
+      ring.counters.add(sched_counter::steals_ok, 1);
+      if (remote) { ring.counters.add(sched_counter::steals_remote_ok, 1); }
       break;
     case event_kind::steal_fail:
-      ring.counters.steals_failed.fetch_add(1, std::memory_order_relaxed);
-      if ((arg & steal_remote_bit) != 0) {
-        ring.counters.steals_remote_failed.fetch_add(1,
-                                                     std::memory_order_relaxed);
-      }
+      ring.counters.add(sched_counter::steals_failed, 1);
+      if (remote) { ring.counters.add(sched_counter::steals_remote_failed, 1); }
       break;
     case event_kind::spawn:
-      ring.counters.tasks_spawned.fetch_add(1, std::memory_order_relaxed);
+      ring.counters.add(sched_counter::tasks_spawned, 1);
       break;
     case event_kind::split:
-      ring.counters.range_splits.fetch_add(1, std::memory_order_relaxed);
+      ring.counters.add(sched_counter::range_splits, 1);
       break;
     default:
       break;

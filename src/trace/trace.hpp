@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "pstlb/common.hpp"
+#include "trace/metrics.hpp"
 
 namespace pstlb::trace {
 
@@ -105,22 +105,35 @@ inline constexpr std::uint64_t link_range(std::uint32_t begin,
 /// [2^b, 2^(b+1)); sizes >= 2^47 saturate into the last bucket).
 inline constexpr std::size_t hist_buckets = 48;
 
+/// Per-thread scheduler counters, in storage and export order.
+/// steals_remote_ok/failed are the cross-node subsets of steals_ok/failed;
+/// busy_ns sums chunk spans, idle_ns idle and lookback spans.
+#define PSTLB_SCHED_COUNTERS(X)                                             \
+  X(steals_ok) X(steals_failed) X(steals_remote_ok) X(steals_remote_failed) \
+  X(tasks_spawned) X(range_splits) X(chunks) X(chunk_elems) X(busy_ns)      \
+  X(idle_ns)
+
+enum class sched_counter : std::uint8_t {
+  PSTLB_SCHED_COUNTERS(PSTLB_METRICS_ENUM) count
+};
+
+inline constexpr std::size_t sched_counter_count =
+    static_cast<std::size_t>(sched_counter::count);
+
 /// Monotonic per-thread scheduler counters. Unlike ring events these are
 /// never overwritten, so sched_metrics stays exact regardless of ring
 /// capacity. All relaxed: single writer (the owning thread), racy-read
 /// snapshots are fine for accounting.
 struct alignas(cache_line_size) ring_counters {
-  std::atomic<std::uint64_t> steals_ok{0};
-  std::atomic<std::uint64_t> steals_failed{0};
-  std::atomic<std::uint64_t> steals_remote_ok{0};      // subset of steals_ok
-  std::atomic<std::uint64_t> steals_remote_failed{0};  // subset of steals_failed
-  std::atomic<std::uint64_t> tasks_spawned{0};
-  std::atomic<std::uint64_t> range_splits{0};
-  std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> chunk_elems{0};
-  std::atomic<std::uint64_t> busy_ns{0};
-  std::atomic<std::uint64_t> idle_ns{0};
-  std::atomic<std::uint64_t> chunk_hist[hist_buckets] = {};
+  std::atomic<std::uint64_t> values[sched_counter_count] = {};
+  metrics::log2_hist<hist_buckets> chunk_hist;  // chunk sizes in elements
+
+  void add(sched_counter c, std::uint64_t v) noexcept {
+    values[static_cast<std::size_t>(c)].fetch_add(v, std::memory_order_relaxed);
+  }
+  std::uint64_t load(sched_counter c) const noexcept {
+    return values[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
+  }
 };
 
 /// Fixed-capacity overwrite-oldest event ring. One per thread (see
@@ -147,6 +160,8 @@ class event_ring {
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
   std::uint32_t id() const noexcept { return id_; }
+  /// The ring registered after this one (lock-free walk; see registry).
+  event_ring* next() const noexcept { return next_.load(std::memory_order_acquire); }
   void set_label(std::string label);
   std::string label() const;
 
@@ -168,14 +183,16 @@ class event_ring {
   std::size_t mask_;
   std::atomic<std::uint64_t> head_{0};
   std::uint32_t id_ = 0;
+  std::atomic<event_ring*> next_{nullptr};
 
   mutable std::mutex label_mutex_;
   std::string label_;
 };
 
-/// Process-wide ring registry: every thread's ring, in creation order.
-/// Intentionally leaked so the at-exit exporter can read rings after
-/// static destruction started.
+/// Process-wide ring registry: every thread's ring, in creation order, as
+/// an append-only list. Rings are leaked so the at-exit exporter can read
+/// them after static destruction started, and the list can be walked
+/// lock-free (first() / event_ring::next()), e.g. from a signal handler.
 class registry {
  public:
   static registry& instance();
@@ -183,12 +200,13 @@ class registry {
   /// Registers a new ring with the configured default capacity.
   event_ring& create_ring();
 
-  /// Stable snapshot of all rings (rings are never destroyed).
-  std::vector<event_ring*> rings() const;
+  /// Walk: for (r = first(); r; r = r->next()). Rings are never destroyed.
+  event_ring* first() const noexcept { return head_.load(std::memory_order_acquire); }
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<event_ring>> rings_;
+  std::mutex mutex_;  // serializes create_ring
+  std::atomic<event_ring*> head_{nullptr};
+  event_ring* tail_ = nullptr;
 };
 
 /// The calling thread's ring (created and registered on first use).
@@ -261,15 +279,9 @@ inline void count_split(pool_id p, std::uint64_t link = 0) noexcept {
 /// First label wins; workers call this once at thread start.
 void set_thread_label(std::string_view label);
 
-/// Cheap process-wide counter sums (no event copies, no labels) for
-/// windowed accounting in counters::region. All zeros while tracing is off.
-struct sched_totals {
-  std::uint64_t steals_ok = 0;
-  std::uint64_t steals_failed = 0;
-  std::uint64_t tasks_spawned = 0;
-  std::uint64_t chunks = 0;
-};
-sched_totals totals() noexcept;
+/// Exported family (stats registry writers): one unlabeled row holding every
+/// sched_counter summed over all rings, present only while tracing is on.
+extern const metrics::family sched_family;
 
 /// Perfetto counter-track samples: low-rate time series shown as value
 /// tracks next to the span tracks ("ph":"C" in the Chrome-trace export).

@@ -20,6 +20,7 @@ namespace {
 
 using pstlb::index_t;
 using pstlb::sched::arena;
+using pstlb::sched::shed_reason;
 
 namespace fault = pstlb::fault;
 
@@ -137,7 +138,7 @@ TEST_F(ArenaStress, SaturationShedsToSequentialNotError) {
   arena a(arena_cfg("tiny", 2, /*max_pending=*/1));
   EXPECT_EQ(hammer(a, 16, 2), 0);
   const auto s = a.snapshot();
-  EXPECT_GT(s.shed_saturated + s.admitted + s.sequential_cap, 0u);
+  EXPECT_GT(s.sheds(shed_reason::saturated) + s.admitted + s.sequential_cap, 0u);
   EXPECT_EQ(s.admitted, s.completed);
 }
 
@@ -172,7 +173,7 @@ TEST_F(ArenaStress, SpawnFailureShedsGracefullyWithObservableCounter) {
   for (auto& user : users) { user.join(); }
   fault::set(fault::spec{});
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(a.snapshot().shed_spawnfail, 0u);
+  EXPECT_GT(a.snapshot().sheds(shed_reason::spawnfail), 0u);
 }
 
 TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
@@ -195,7 +196,7 @@ TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
   EXPECT_NO_THROW(pstlb::stable_sort(policy, stable.begin(), stable.end()));
   EXPECT_TRUE(std::is_sorted(stable.begin(), stable.end()));
   fault::set(fault::spec{});
-  EXPECT_GT(a.snapshot().shed_oom, 0u);
+  EXPECT_GT(a.snapshot().sheds(shed_reason::oom), 0u);
 }
 
 TEST_F(ArenaStress, ExactlyOneExceptionPerCallerUnderFault) {

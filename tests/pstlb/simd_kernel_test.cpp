@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "pstlb/detail/simd/kernels.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
 #include "pstlb/pstlb.hpp"
+#include "trace/stats_registry.hpp"
 
 namespace {
 
@@ -424,14 +426,25 @@ TEST(SimdPolicy, SamplesortParUnseqSorts) {
   }
 }
 
+/// Vector-leaf entries at `level`, read back from the exported SIMD rows.
+std::uint64_t leaf_invocations(simd::isa level) {
+  std::ostringstream os;
+  pstlb::stats::write_prometheus(os);
+  const std::string text = os.str();
+  const std::string key = "pstlb_simd_leaves_total{isa=\"" +
+                          std::string(simd::name(level)) + "\"} ";
+  const auto at = text.find(key);
+  return at == std::string::npos ? 0 : std::stoull(text.substr(at + key.size()));
+}
+
 TEST(SimdPolicy, DispatchReportAndCounters) {
   isa_guard guard;
   for (simd::isa level : runnable_vector_levels()) {
     if (simd::force(level) != level) { continue; }
-    const std::uint64_t before = simd::leaf_invocations(level);
+    const std::uint64_t before = leaf_invocations(level);
     std::vector<std::int32_t> v(4096, 1);
     (void)pstlb::reduce(pstlb::execution::unseq, v.begin(), v.end());
-    EXPECT_GT(simd::leaf_invocations(level), before)
+    EXPECT_GT(leaf_invocations(level), before)
         << "vector leaf did not run at " << simd::name(level);
   }
   simd::report_selection();  // must not crash; CI greps its output format

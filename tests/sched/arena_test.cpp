@@ -19,6 +19,7 @@ using pstlb::sched::admit_outcome;
 using pstlb::sched::arena;
 using pstlb::sched::loop_context;
 using pstlb::sched::shed_reason;
+namespace metrics = pstlb::metrics;
 
 arena::config cfg(unsigned cap, unsigned max_pending = 64,
                   unsigned deadline_ms = 0) {
@@ -107,7 +108,7 @@ TEST(Arena, FullQueueShedsToSequential) {
   std::thread caller([&] { outcome = a.admit(2).outcome(); });
   caller.join();
   EXPECT_EQ(outcome, admit_outcome::shed_saturated);
-  EXPECT_EQ(a.snapshot().shed_saturated, 1u);
+  EXPECT_EQ(a.snapshot().sheds(shed_reason::saturated), 1u);
   EXPECT_GE(arena::global_shed_count(), 1u);
 }
 
@@ -119,7 +120,7 @@ TEST(Arena, DeadlineExpiryShedsInsteadOfHanging) {
   std::thread caller([&] { outcome = a.admit(2).outcome(); });
   caller.join();  // must return: the deadline bounds the wait
   EXPECT_EQ(outcome, admit_outcome::shed_deadline);
-  EXPECT_EQ(a.snapshot().shed_deadline, 1u);
+  EXPECT_EQ(a.snapshot().sheds(shed_reason::deadline), 1u);
 }
 
 TEST(Arena, WaiterIsGrantedWhenTokensFree) {
@@ -236,12 +237,12 @@ TEST(Arena, NoteDegradationAttributesToBoundArena) {
     arena::scoped_bind bind(&a);
     pstlb::sched::note_degradation(shed_reason::oom);
   }
-  EXPECT_EQ(a.snapshot().shed_oom, 1u);
+  EXPECT_EQ(a.snapshot().sheds(shed_reason::oom), 1u);
   // Unbound sheds land in the process-wide counter only.
   const auto before = arena::global_shed_count();
   pstlb::sched::note_degradation(shed_reason::spawnfail);
   EXPECT_EQ(arena::global_shed_count(), before + 1);
-  EXPECT_EQ(a.snapshot().shed_spawnfail, 0u);
+  EXPECT_EQ(a.snapshot().sheds(shed_reason::spawnfail), 0u);
 }
 
 TEST(Arena, AdmissionToggleControlsTarget) {
@@ -257,11 +258,11 @@ TEST(Arena, AdmissionToggleControlsTarget) {
 
 TEST(Arena, SnapshotQuantilesComeFromTheCallHistogram) {
   pstlb::sched::arena_snapshot s;
-  EXPECT_EQ(s.p50_ns(), 0.0);  // no samples
+  EXPECT_EQ(metrics::quantile(s.call_hist, 0.50), 0.0);  // no samples
   s.call_hist[10] = 90;        // 90 calls in [1024, 2048) ns
   s.call_hist[20] = 10;        // 10 calls in [2^20, 2^21) ns
-  EXPECT_EQ(s.p50_ns(), 1024.0);
-  EXPECT_EQ(s.p99_ns(), static_cast<double>(1u << 20));
+  EXPECT_EQ(metrics::quantile(s.call_hist, 0.50), 1024.0);
+  EXPECT_EQ(metrics::quantile(s.call_hist, 0.99), static_cast<double>(1u << 20));
 }
 
 }  // namespace

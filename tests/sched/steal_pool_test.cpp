@@ -64,12 +64,12 @@ TEST(StealPool, ReusableAcrossLoops) {
 TEST(StealPool, CancellationSkipsLaterChunks) {
   steal_pool pool(3);
   std::atomic<index_t> cancel{1 << 20};
-  std::atomic<long> executed{0};
+  std::atomic<long> late_chunks{0};
 
   struct state_t {
     std::atomic<index_t>* cancel;
-    std::atomic<long>* executed;
-  } state{&cancel, &executed};
+    std::atomic<long>* late_chunks;
+  } state{&cancel, &late_chunks};
 
   loop_context ctx;
   ctx.n = 1 << 20;
@@ -78,13 +78,18 @@ TEST(StealPool, CancellationSkipsLaterChunks) {
   ctx.state = &state;
   ctx.run = [](void* raw, index_t b, index_t e, unsigned) {
     auto& s = *static_cast<state_t*>(raw);
-    s.executed->fetch_add(e - b);
+    // A chunk past the hit that sees the cancel at entry passed
+    // execute_chunk's check before the store became visible: it is "late".
+    if (b > 1000 && s.cancel->load() <= 1000) { s.late_chunks->fetch_add(1); }
     if (b <= 1000 && 1000 < e) { fetch_min(*s.cancel, 1000); }
   };
   pool.run(4, ctx);
-  // Cancellation is advisory, but most of the space past the hit must be
-  // skipped (we scanned far less than everything).
-  EXPECT_LT(executed.load(), (1 << 20) / 2);
+  // Cancellation is advisory and the worker holding element 1000 may run
+  // late, so how much of the range runs depends on the schedule. What holds
+  // under any schedule: once a participant has seen the cancel, its next
+  // check skips every later chunk, so each of the 4 runs at most one late
+  // chunk.
+  EXPECT_LE(late_chunks.load(), 4);
   EXPECT_LE(cancel.load(), 1000);
 }
 

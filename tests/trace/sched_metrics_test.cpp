@@ -43,10 +43,10 @@ TEST_F(TracedTest, StealPoolReportsStealsUnderForcedImbalance) {
   };
   pool.run(4, ctx);
   const sched_metrics w = window();
-  EXPECT_GE(w.steals_ok() + w.steals_failed(), 1u)
+  EXPECT_GE(w.total(sched_counter::steals_ok) + w.total(sched_counter::steals_failed), 1u)
       << "a 50ms fat chunk must leave the other participants stealing";
-  EXPECT_EQ(w.chunks(), 8u);
-  EXPECT_GT(w.idle_s(), 0.0) << "threads starved behind the fat chunk";
+  EXPECT_EQ(w.total(sched_counter::chunks), 8u);
+  EXPECT_GT(w.total(sched_counter::idle_ns), 0u) << "threads starved behind the fat chunk";
 }
 
 TEST_F(TracedTest, StaticForkJoinRunHasZeroSteals) {
@@ -59,11 +59,11 @@ TEST_F(TracedTest, StaticForkJoinRunHasZeroSteals) {
                   }
                 });
   const sched_metrics w = window();
-  EXPECT_EQ(w.steals_ok(), 0u);
-  EXPECT_EQ(w.steals_failed(), 0u);
-  EXPECT_EQ(w.tasks_spawned(), 0u);
-  EXPECT_EQ(w.range_splits(), 0u);
-  EXPECT_EQ(w.chunks(), 16u);  // 4 slices x 4 grain-blocks
+  EXPECT_EQ(w.total(sched_counter::steals_ok), 0u);
+  EXPECT_EQ(w.total(sched_counter::steals_failed), 0u);
+  EXPECT_EQ(w.total(sched_counter::tasks_spawned), 0u);
+  EXPECT_EQ(w.total(sched_counter::range_splits), 0u);
+  EXPECT_EQ(w.total(sched_counter::chunks), 16u);  // 4 slices x 4 grain-blocks
 }
 
 TEST_F(TracedTest, FuturesBackendSpawnsOneTaskPerChunk) {
@@ -72,10 +72,10 @@ TEST_F(TracedTest, FuturesBackendSpawnsOneTaskPerChunk) {
   std::vector<elem_t> data(1 << 16, elem_t{1});
   pstlb::for_each(policy, data.begin(), data.end(), [](elem_t& v) { v += 1; });
   const sched_metrics w = window();
-  EXPECT_EQ(w.tasks_spawned(), 16u);
-  EXPECT_EQ(w.chunks(), 16u);
-  EXPECT_EQ(w.chunk_elems(), std::uint64_t{1} << 16);
-  EXPECT_EQ(w.steals_ok() + w.steals_failed(), 0u);
+  EXPECT_EQ(w.total(sched_counter::tasks_spawned), 16u);
+  EXPECT_EQ(w.total(sched_counter::chunks), 16u);
+  EXPECT_EQ(w.total(sched_counter::chunk_elems), std::uint64_t{1} << 16);
+  EXPECT_EQ(w.total(sched_counter::steals_ok) + w.total(sched_counter::steals_failed), 0u);
 }
 
 TEST_F(TracedTest, StealBackendSplitsRangesInsteadOfSpawning) {
@@ -84,10 +84,10 @@ TEST_F(TracedTest, StealBackendSplitsRangesInsteadOfSpawning) {
   std::vector<elem_t> data(1 << 15, elem_t{1});
   pstlb::for_each(policy, data.begin(), data.end(), [](elem_t& v) { v += 1; });
   const sched_metrics w = window();
-  EXPECT_EQ(w.tasks_spawned(), 0u);
-  EXPECT_GE(w.range_splits(), 1u);
-  EXPECT_EQ(w.chunks(), 32u);
-  EXPECT_EQ(w.chunk_elems(), std::uint64_t{1} << 15);
+  EXPECT_EQ(w.total(sched_counter::tasks_spawned), 0u);
+  EXPECT_GE(w.total(sched_counter::range_splits), 1u);
+  EXPECT_EQ(w.total(sched_counter::chunks), 32u);
+  EXPECT_EQ(w.total(sched_counter::chunk_elems), std::uint64_t{1} << 15);
 }
 
 TEST_F(TracedTest, RegionCapturesSchedDelta) {
@@ -111,23 +111,6 @@ TEST_F(TracedTest, RegionCapturesSchedDelta) {
   EXPECT_DOUBLE_EQ(it->second.total.sched_tasks_spawned, 0.0);
 }
 
-TEST_F(TracedTest, FoldIntoMarkersPublishesSchedColumns) {
-  counters::marker_registry::instance().reset();
-  backends::fork_join_backend be(2);
-  std::vector<double> data(1 << 13, 1.0);
-  be.for_blocks(static_cast<index_t>(data.size()), 1 << 12, nullptr,
-                [&](index_t b, index_t e, unsigned) {
-                  for (index_t i = b; i < e; ++i) {
-                    data[static_cast<std::size_t>(i)] += 1.0;
-                  }
-                });
-  fold_into_markers("sched-window", window());
-  const auto stats = counters::marker_registry::instance().snapshot();
-  const auto it = stats.find("sched-window");
-  ASSERT_NE(it, stats.end());
-  EXPECT_GT(it->second.total.sched_chunks, 0.0);
-}
-
 TEST_F(TracedTest, RemoteStealTaggingSplitsCounters) {
   // count_steal with local=false must land in the remote subset counters;
   // local steals must not.
@@ -135,10 +118,10 @@ TEST_F(TracedTest, RemoteStealTaggingSplitsCounters) {
   count_steal(pool_id::steal, true, 2, false);
   count_steal(pool_id::steal, false, 3, false);
   const sched_metrics w = window();
-  EXPECT_EQ(w.steals_ok(), 2u);
-  EXPECT_EQ(w.steals_remote_ok(), 1u);
-  EXPECT_EQ(w.steals_failed(), 1u);
-  EXPECT_EQ(w.steals_remote_failed(), 1u);
+  EXPECT_EQ(w.total(sched_counter::steals_ok), 2u);
+  EXPECT_EQ(w.total(sched_counter::steals_remote_ok), 1u);
+  EXPECT_EQ(w.total(sched_counter::steals_failed), 1u);
+  EXPECT_EQ(w.total(sched_counter::steals_remote_failed), 1u);
   EXPECT_DOUBLE_EQ(w.steal_local_fraction(), 0.5);
 }
 
@@ -148,8 +131,8 @@ TEST(SchedMetricsMath, StealLocalFractionEdgeCases) {
   EXPECT_DOUBLE_EQ(m.steal_local_fraction(), 1.0);
   thread_metrics t;
   t.ring_id = 0;
-  t.steals_ok = 4;
-  t.steals_remote_ok = 4;
+  t[sched_counter::steals_ok] = 4;
+  t[sched_counter::steals_remote_ok] = 4;
   m.threads = {t};
   EXPECT_DOUBLE_EQ(m.steal_local_fraction(), 0.0);
 }
@@ -158,23 +141,23 @@ TEST(SchedMetricsMath, PercentilesFromHistogram) {
   sched_metrics m;
   m.chunk_hist[10] = 90;  // 90 chunks of ~2^10
   m.chunk_hist[15] = 10;  // 10 chunks of ~2^15
-  EXPECT_DOUBLE_EQ(m.chunk_size_p50(), 1024.0);
-  EXPECT_DOUBLE_EQ(m.chunk_size_p95(), 32768.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(m.chunk_hist, 0.50), 1024.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(m.chunk_hist, 0.95), 32768.0);
   sched_metrics empty;
-  EXPECT_DOUBLE_EQ(empty.chunk_size_p50(), 0.0);
-  EXPECT_DOUBLE_EQ(empty.chunk_size_p95(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(empty.chunk_hist, 0.50), 0.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(empty.chunk_hist, 0.95), 0.0);
 }
 
 TEST(SchedMetricsMath, LoadImbalanceAndBusyFraction) {
   sched_metrics m;
   thread_metrics a;
   a.ring_id = 0;
-  a.busy_s = 3.0;
-  a.idle_s = 1.0;
+  a[sched_counter::busy_ns] = 3000000000;
+  a[sched_counter::idle_ns] = 1000000000;
   thread_metrics b;
   b.ring_id = 1;
-  b.busy_s = 1.0;
-  b.idle_s = 3.0;
+  b[sched_counter::busy_ns] = 1000000000;
+  b[sched_counter::idle_ns] = 3000000000;
   m.threads = {a, b};
   EXPECT_DOUBLE_EQ(m.load_imbalance(), 1.5);  // max 3 / mean 2
   EXPECT_DOUBLE_EQ(m.threads[0].busy_fraction(), 0.75);
@@ -187,44 +170,44 @@ TEST(SchedMetricsMath, DeltaIsSaturatingAndKeepsNewThreads) {
   sched_metrics before;
   thread_metrics t0;
   t0.ring_id = 0;
-  t0.chunks = 10;
+  t0[sched_counter::chunks] = 10;
   before.threads = {t0};
   before.chunk_hist[4] = 10;
 
   sched_metrics after;
   thread_metrics t0b = t0;
-  t0b.chunks = 25;
+  t0b[sched_counter::chunks] = 25;
   thread_metrics t1;
   t1.ring_id = 1;
-  t1.chunks = 7;
+  t1[sched_counter::chunks] = 7;
   after.threads = {t0b, t1};
   after.chunk_hist[4] = 22;
 
   const sched_metrics d = delta(before, after);
   ASSERT_EQ(d.threads.size(), 2u);
-  EXPECT_EQ(d.threads[0].chunks, 15u);
-  EXPECT_EQ(d.threads[1].chunks, 7u);
+  EXPECT_EQ(d.threads[0][sched_counter::chunks], 15u);
+  EXPECT_EQ(d.threads[1][sched_counter::chunks], 7u);
   EXPECT_EQ(d.chunk_hist[4], 12u);
 
   // Saturation: a window that straddles a counter reset never underflows.
   const sched_metrics inverse = delta(after, before);
-  EXPECT_EQ(inverse.threads[0].chunks, 0u);
+  EXPECT_EQ(inverse.threads[0][sched_counter::chunks], 0u);
 }
 
 // An empty window (back-to-back snapshots, no scheduler activity between
 // them) must be all zeros with every derived statistic still well-defined.
 TEST_F(TracedTest, EmptyWindowIsZeroWithDefinedDerivedStats) {
   const sched_metrics w = window();
-  EXPECT_EQ(w.chunks(), 0u);
-  EXPECT_EQ(w.chunk_elems(), 0u);
-  EXPECT_EQ(w.steals_ok(), 0u);
-  EXPECT_EQ(w.steals_failed(), 0u);
-  EXPECT_EQ(w.tasks_spawned(), 0u);
-  EXPECT_EQ(w.range_splits(), 0u);
-  EXPECT_DOUBLE_EQ(w.busy_s(), 0.0);
-  EXPECT_DOUBLE_EQ(w.idle_s(), 0.0);
-  EXPECT_DOUBLE_EQ(w.chunk_size_p50(), 0.0);
-  EXPECT_DOUBLE_EQ(w.chunk_size_p95(), 0.0);
+  EXPECT_EQ(w.total(sched_counter::chunks), 0u);
+  EXPECT_EQ(w.total(sched_counter::chunk_elems), 0u);
+  EXPECT_EQ(w.total(sched_counter::steals_ok), 0u);
+  EXPECT_EQ(w.total(sched_counter::steals_failed), 0u);
+  EXPECT_EQ(w.total(sched_counter::tasks_spawned), 0u);
+  EXPECT_EQ(w.total(sched_counter::range_splits), 0u);
+  EXPECT_EQ(w.total(sched_counter::busy_ns), 0u);
+  EXPECT_EQ(w.total(sched_counter::idle_ns), 0u);
+  EXPECT_DOUBLE_EQ(metrics::quantile(w.chunk_hist, 0.50), 0.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(w.chunk_hist, 0.95), 0.0);
   EXPECT_DOUBLE_EQ(w.load_imbalance(), 0.0);
   EXPECT_DOUBLE_EQ(w.steal_local_fraction(), 1.0);
 }
@@ -234,13 +217,13 @@ TEST_F(TracedTest, EmptyWindowIsZeroWithDefinedDerivedStats) {
 TEST_F(TracedTest, SingleEventWindowCountsExactlyOnce) {
   count_steal(pool_id::steal, /*ok=*/true, /*victim=*/2, /*local=*/false);
   const sched_metrics w = window();
-  EXPECT_EQ(w.steals_ok(), 1u);
-  EXPECT_EQ(w.steals_remote_ok(), 1u);
-  EXPECT_EQ(w.steals_failed(), 0u);
+  EXPECT_EQ(w.total(sched_counter::steals_ok), 1u);
+  EXPECT_EQ(w.total(sched_counter::steals_remote_ok), 1u);
+  EXPECT_EQ(w.total(sched_counter::steals_failed), 0u);
   EXPECT_DOUBLE_EQ(w.steal_local_fraction(), 0.0);
-  EXPECT_EQ(w.chunks(), 0u);
-  EXPECT_EQ(w.tasks_spawned(), 0u);
-  EXPECT_EQ(w.range_splits(), 0u);
+  EXPECT_EQ(w.total(sched_counter::chunks), 0u);
+  EXPECT_EQ(w.total(sched_counter::tasks_spawned), 0u);
+  EXPECT_EQ(w.total(sched_counter::range_splits), 0u);
 }
 
 // sched_metrics reads the monotonic ring COUNTERS, not the ring events: a
@@ -256,12 +239,12 @@ TEST_F(TracedTest, RingOverwriteMidWindowDoesNotClipCounters) {
                 /*elems=*/16);
   }
   const sched_metrics w = window();
-  EXPECT_EQ(w.chunks(), n);
-  EXPECT_EQ(w.chunk_elems(), n * 16u);
+  EXPECT_EQ(w.total(sched_counter::chunks), n);
+  EXPECT_EQ(w.total(sched_counter::chunk_elems), n * 16u);
   // All 16-element chunks land in log2 bucket 4: the histogram is counter-
   // backed too, so wraparound cannot clip it either.
   EXPECT_EQ(w.chunk_hist[4], n);
-  EXPECT_DOUBLE_EQ(w.chunk_size_p50(), 16.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(w.chunk_hist, 0.50), 16.0);
   // The event ring, by contrast, did overwrite: it retains at most
   // capacity() events even though we pushed 1.5x that many.
   EXPECT_EQ(ring.pushed() - pushed_before, n);

@@ -6,11 +6,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "pstlb/detail/simd/isa.hpp"
 #include "pstlb/pstlb.hpp"
+#include "sched/arena.hpp"
 
 namespace pstlb::stats {
 namespace {
@@ -63,7 +66,7 @@ TEST_F(StatsTest, EnabledCountsEveryOutermostCall) {
   // Histogram totals match the call counters.
   for (const op_snapshot& s : snaps) {
     const std::uint64_t hist_sum =
-        std::accumulate(s.hist, s.hist + latency_buckets, std::uint64_t{0});
+        std::accumulate(std::begin(s.hist), std::end(s.hist), std::uint64_t{0});
     EXPECT_EQ(hist_sum, s.calls);
     EXPECT_GE(s.max_ns, 0u);
   }
@@ -97,20 +100,20 @@ TEST_F(StatsTest, QuantilesAreBucketLowerBounds) {
   s.o = op::reduce;
   s.calls = 100;
   s.hist[4] = 100;  // every call in [16, 32) ns
-  EXPECT_DOUBLE_EQ(s.p50_ns(), 16.0);
-  EXPECT_DOUBLE_EQ(s.p95_ns(), 16.0);
-  EXPECT_DOUBLE_EQ(s.p99_ns(), 16.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(s.hist, 0.50), 16.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(s.hist, 0.95), 16.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(s.hist, 0.99), 16.0);
 
   op_snapshot split;
   split.o = op::sort;
   split.calls = 100;
   split.hist[3] = 90;   // [8, 16)
   split.hist[10] = 10;  // [1024, 2048)
-  EXPECT_DOUBLE_EQ(split.p50_ns(), 8.0);
-  EXPECT_DOUBLE_EQ(split.p95_ns(), 1024.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(split.hist, 0.50), 8.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(split.hist, 0.95), 1024.0);
 
   const op_snapshot empty;
-  EXPECT_DOUBLE_EQ(empty.p50_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(empty.hist, 0.50), 0.0);
   EXPECT_DOUBLE_EQ(empty.mean_ns(), 0.0);
 }
 
@@ -153,12 +156,9 @@ TEST_F(StatsTest, PrometheusExposition) {
             std::string::npos);
 }
 
-TEST_F(StatsTest, SignalSafeDumpWritesOneLinePerLiveOp) {
-  set_enabled(true);
-  { scoped_call call(op::reduce); }
-  { scoped_call call(op::sort); }
+std::string signal_dump_text() {
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  if (::pipe(fds) != 0) { return {}; }
   signal_safe_dump(fds[1]);
   ::close(fds[1]);
   std::string text;
@@ -168,6 +168,14 @@ TEST_F(StatsTest, SignalSafeDumpWritesOneLinePerLiveOp) {
     text.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fds[0]);
+  return text;
+}
+
+TEST_F(StatsTest, SignalSafeDumpWritesOneLinePerLiveOp) {
+  set_enabled(true);
+  { scoped_call call(op::reduce); }
+  { scoped_call call(op::sort); }
+  const std::string text = signal_dump_text();
   EXPECT_NE(text.find("pstlb_stats op=reduce calls=1"), std::string::npos);
   EXPECT_NE(text.find("pstlb_stats op=sort calls=1"), std::string::npos);
 }
@@ -199,6 +207,71 @@ TEST_F(StatsTest, DumpToEnvFileSelectsFormatByExtension) {
     EXPECT_NE(buf.str().find("# TYPE pstlb_calls_total"), std::string::npos);
   }
   ::unsetenv("PSTLB_STATS_FILE");
+}
+
+/// The integer after the first `key` that follows `anchor` in `text`
+/// (nullopt when either is missing).
+std::optional<std::uint64_t> number_after(const std::string& text,
+                                          const std::string& anchor,
+                                          const std::string& key) {
+  const std::size_t at = text.find(anchor);
+  if (at == std::string::npos) { return std::nullopt; }
+  const std::size_t k = text.find(key, at + anchor.size());
+  if (k == std::string::npos) { return std::nullopt; }
+  return std::stoull(text.substr(k + key.size()));
+}
+
+// The three writers walk one family table: every family they emit reports
+// the same counts, whatever the output format.
+TEST_F(StatsTest, WritersReportTheSameCounts) {
+  set_enabled(true);
+  const simd::isa saved = simd::active();
+  const simd::isa level = simd::force(simd::isa::sse2);
+  std::vector<std::int32_t> v(4096, 1);
+  EXPECT_EQ(pstlb::reduce(pstlb::execution::unseq, v.begin(), v.end()), 4096);
+  simd::force(saved);
+
+  sched::arena::config cfg;
+  cfg.name = "consistency";
+  cfg.cap = 4;
+  sched::arena a(cfg);
+  { const auto ticket = a.admit(2); }
+
+  std::ostringstream json_os;
+  write_json(json_os);
+  std::ostringstream prom_os;
+  write_prometheus(prom_os);
+  const std::string json = json_os.str();
+  const std::string prom = prom_os.str();
+  const std::string dump = signal_dump_text();
+
+  auto same = [&](const std::string& what, std::optional<std::uint64_t> j,
+                  std::optional<std::uint64_t> p, std::optional<std::uint64_t> d) {
+    if (!(j && p && d)) {
+      ADD_FAILURE() << what << " missing\n" << json << "\n" << prom << "\n" << dump;
+      return std::uint64_t{0};
+    }
+    EXPECT_EQ(*j, *p) << what;
+    EXPECT_EQ(*j, *d) << what;
+    return *j;
+  };
+  EXPECT_EQ(same("reduce calls",
+                 number_after(json, "{\"op\":\"reduce\"", "\"calls\":"),
+                 number_after(prom, "pstlb_calls_total{op=\"reduce\"}", " "),
+                 number_after(dump, "pstlb_stats op=reduce", " calls=")),
+            1u);
+  EXPECT_EQ(same("arena admitted",
+                 number_after(json, "{\"arena\":\"consistency\"", "\"admitted\":"),
+                 number_after(prom, "pstlb_arena_admitted_total{arena=\"consistency\"}", " "),
+                 number_after(dump, "pstlb_stats arena=consistency", " admitted=")),
+            1u);
+  const std::string isa(simd::name(level));
+  const std::uint64_t leaves =
+      same("simd leaves",
+           number_after(json, "\"simd\":[", "\"leaves_" + isa + "\":"),
+           number_after(prom, "pstlb_simd_leaves_total{isa=\"" + isa + "\"}", " "),
+           number_after(dump, "pstlb_stats simd", " leaves_" + isa + "="));
+  if (level != simd::isa::scalar) { EXPECT_GE(leaves, 1u); }
 }
 
 TEST_F(StatsTest, OpNamesCoverTheWholeEnum) {

@@ -176,7 +176,7 @@ TEST(ChromeTrace, ExportsValidJsonWithOneTrackPerWorker) {
   // And the window's accounting saw the same participation.
   unsigned active_threads = 0;
   for (const thread_metrics& t : window.threads) {
-    if (t.chunks > 0) { ++active_threads; }
+    if (t[sched_counter::chunks] > 0) { ++active_threads; }
   }
   EXPECT_GE(active_threads, kThreads);
 }
@@ -191,16 +191,16 @@ TEST(ChromeTrace, MetricsConsistentWithKnownForkJoinShape) {
   // Static fork-join, n = 2^16, grain = 2^12, 4 threads: each thread owns a
   // 2^14 slice walked in 4 blocks -> exactly 16 chunks covering every
   // element, no steals, no spawns, no splits.
-  EXPECT_EQ(window.chunks(), 16u);
-  EXPECT_EQ(window.chunk_elems(), static_cast<std::uint64_t>(kN));
-  EXPECT_EQ(window.steals_ok(), 0u);
-  EXPECT_EQ(window.steals_failed(), 0u);
-  EXPECT_EQ(window.tasks_spawned(), 0u);
-  EXPECT_EQ(window.range_splits(), 0u);
+  EXPECT_EQ(window.total(sched_counter::chunks), 16u);
+  EXPECT_EQ(window.total(sched_counter::chunk_elems), static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(window.total(sched_counter::steals_ok), 0u);
+  EXPECT_EQ(window.total(sched_counter::steals_failed), 0u);
+  EXPECT_EQ(window.total(sched_counter::tasks_spawned), 0u);
+  EXPECT_EQ(window.total(sched_counter::range_splits), 0u);
   // All chunks are exactly 2^12 elements: both percentiles hit that bucket.
-  EXPECT_DOUBLE_EQ(window.chunk_size_p50(), static_cast<double>(kGrain));
-  EXPECT_DOUBLE_EQ(window.chunk_size_p95(), static_cast<double>(kGrain));
-  EXPECT_GT(window.busy_s(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics::quantile(window.chunk_hist, 0.50), static_cast<double>(kGrain));
+  EXPECT_DOUBLE_EQ(metrics::quantile(window.chunk_hist, 0.95), static_cast<double>(kGrain));
+  EXPECT_GT(window.total(sched_counter::busy_ns), 0u);
   EXPECT_GE(window.load_imbalance(), 1.0);
 }
 

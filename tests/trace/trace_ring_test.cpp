@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "trace/sched_metrics.hpp"
+
 namespace pstlb::trace {
 namespace {
 
@@ -100,7 +102,7 @@ TEST(EventRing, ConcurrentWritersNeverYieldTornEvents) {
 
 TEST(TraceHooks, ConcurrentThreadsRecordIntoOwnRings) {
   set_enabled(true);
-  const sched_totals before = totals();
+  const sched_metrics before = collect();
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kEach = 100;
   std::vector<std::thread> threads;
@@ -114,11 +116,11 @@ TEST(TraceHooks, ConcurrentThreadsRecordIntoOwnRings) {
     });
   }
   for (auto& t : threads) { t.join(); }
-  const sched_totals after = totals();
+  const sched_metrics window = delta(before, collect());
   set_enabled(false);
-  EXPECT_EQ(after.steals_ok - before.steals_ok, kThreads * kEach / 2);
-  EXPECT_EQ(after.steals_failed - before.steals_failed, kThreads * kEach / 2);
-  EXPECT_EQ(after.chunks - before.chunks, kThreads * kEach);
+  EXPECT_EQ(window.total(sched_counter::steals_ok), kThreads * kEach / 2);
+  EXPECT_EQ(window.total(sched_counter::steals_failed), kThreads * kEach / 2);
+  EXPECT_EQ(window.total(sched_counter::chunks), kThreads * kEach);
 }
 
 TEST(TraceHooks, DisabledHotPathEmitsNothing) {
@@ -126,10 +128,9 @@ TEST(TraceHooks, DisabledHotPathEmitsNothing) {
   event_ring& ring = local_ring();
   const std::uint64_t pushed_before = ring.pushed();
   const std::uint64_t steals_before =
-      ring.counters.steals_ok.load(std::memory_order_relaxed) +
-      ring.counters.steals_failed.load(std::memory_order_relaxed);
-  const std::uint64_t chunks_before =
-      ring.counters.chunks.load(std::memory_order_relaxed);
+      ring.counters.load(sched_counter::steals_ok) +
+      ring.counters.load(sched_counter::steals_failed);
+  const std::uint64_t chunks_before = ring.counters.load(sched_counter::chunks);
 
   for (int i = 0; i < 1000; ++i) {
     count_steal(pool_id::steal, true, 0);
@@ -142,14 +143,12 @@ TEST(TraceHooks, DisabledHotPathEmitsNothing) {
   }
 
   EXPECT_EQ(ring.pushed(), pushed_before);
-  EXPECT_EQ(ring.counters.steals_ok.load(std::memory_order_relaxed) +
-                ring.counters.steals_failed.load(std::memory_order_relaxed),
+  EXPECT_EQ(ring.counters.load(sched_counter::steals_ok) +
+                ring.counters.load(sched_counter::steals_failed),
             steals_before);
-  EXPECT_EQ(ring.counters.chunks.load(std::memory_order_relaxed), chunks_before);
-  // Process-wide totals are reported as zero while tracing is off.
-  const sched_totals t = totals();
-  EXPECT_EQ(t.steals_ok, 0u);
-  EXPECT_EQ(t.chunks, 0u);
+  EXPECT_EQ(ring.counters.load(sched_counter::chunks), chunks_before);
+  // Process-wide totals are not exported while tracing is off.
+  EXPECT_EQ(sched_family.next(nullptr), nullptr);
 }
 
 TEST(TraceHooks, SpanArmedBeforeDisableIsDropped) {
