@@ -19,6 +19,7 @@
 #include "sched/arena.hpp"
 #include "sched/cancel.hpp"
 #include "sched/claims.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace pstlb::backends {
 
@@ -57,7 +58,7 @@ class pool_backend {
     ctx.errors = &errors;
     sched::shed_reason reason{};
     try {
-      Claim(threads_, ctx);
+      Claim(sched::thread_pool::global(), threads_, ctx);
       errors.rethrow();
       return;
     } catch (const std::system_error&) {

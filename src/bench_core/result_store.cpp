@@ -18,6 +18,7 @@
 #include "numa/topology.hpp"
 #include "pstlb/env.hpp"
 #include "pstlb/json_min.hpp"
+#include "pstlb_git_sha.hpp"  // PSTLB_GIT_SHA, generated at build time
 
 namespace pstlb::bench::results {
 
@@ -84,11 +85,7 @@ run_envelope current_envelope(std::string suite) {
   e.suite = std::move(suite);
 
   const char* sha = std::getenv("GITHUB_SHA");
-#ifdef PSTLB_GIT_SHA
   e.git_sha = sha != nullptr && *sha != '\0' ? sha : PSTLB_GIT_SHA;
-#else
-  e.git_sha = sha != nullptr && *sha != '\0' ? sha : "unknown";
-#endif
 
   char host[256] = {};
   if (::gethostname(host, sizeof host - 1) == 0 && host[0] != '\0') {

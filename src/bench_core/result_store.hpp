@@ -68,7 +68,7 @@ struct sample_result {
 struct run_envelope {
   int version = schema_version;
   std::string suite;     // producing binary, e.g. "tab5_speedup_summary"
-  std::string git_sha;   // GITHUB_SHA env, else compile-time, else "unknown"
+  std::string git_sha;   // GITHUB_SHA env, else the built commit, else "unknown"
   std::string hostname;
   std::string topology;  // "nodes=N llcs=L cores=C cpus=P page=B"
   std::string provider;  // active counters provider label

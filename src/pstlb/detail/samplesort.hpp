@@ -259,7 +259,7 @@ void samplesort_segment(const B& be, SrcIt src, TmpIt tmp, index_t n,
   std::vector<index_t> hist(
       static_cast<std::size_t>(bucket_count * chunk_count), 0);
   // Classify/scatter loops iterate chunk ids, so the NUMA hint stride is one
-  // chunk's worth of elements; the steal pool resolves it through the page
+  // chunk's worth of elements; the steal claim resolves it through the page
   // registry to seed each node with the chunks it owns. Disengaged for
   // non-contiguous iterators and at recursion depth 1 (sequential).
   const auto chunk_data_hint = [&]() -> sched::scoped_data_hint {

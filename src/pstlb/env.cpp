@@ -43,7 +43,7 @@ const std::vector<std::string_view>& known_vars() {
       "PSTLB_ARENA_MAX_PENDING",  // admission queue bound before shedding
       "PSTLB_BENCH_JSON",         // canonical bench-result export: file or dir
       "PSTLB_COUNTERS",           // counter provider: sim | native | perf
-      "PSTLB_FAULT",              // fault injection: throw:<p>|oom:<p>|stall:<ms>|spawnfail[:<n>]
+      "PSTLB_FAULT",              // fault injection: throw:<p>|oom:<p>|stall:<ms>|spawnfail[:<n>]|yield:<p>
       "PSTLB_FAULT_SEED",         // fault injection: deterministic draw seed
       "PSTLB_NATIVE_LOG2",        // fig5/fig7/tab4_simd native legs: log2 size
       "PSTLB_NATIVE_REPS",        // fig5/fig7/tab4_simd native legs: repetitions

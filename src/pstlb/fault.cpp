@@ -26,6 +26,7 @@ spec g_spec;
 std::once_flag g_env_once;
 std::atomic<std::uint64_t> g_alloc_site{0};
 std::atomic<std::uint64_t> g_spawn_site{0};
+std::atomic<std::uint64_t> g_yield_site{0};
 
 /// splitmix64: decorrelates (seed, site) into a uniform 64-bit draw.
 std::uint64_t mix(std::uint64_t seed, std::uint64_t site) {
@@ -43,6 +44,22 @@ bool draw(double probability, std::uint64_t site) {
   return u < probability;
 }
 
+void apply(const spec& s) {
+  g_spec = s;
+  g_alloc_site.store(0, std::memory_order_relaxed);
+  g_spawn_site.store(0, std::memory_order_relaxed);
+  g_yield_site.store(0, std::memory_order_relaxed);
+  detail::g_armed.store(s.mode != kind::none, std::memory_order_release);
+}
+
+/// yield mode: the site is a process-wide counter, not the chunk index, so a
+/// loop that runs many times yields at different chunks each time.
+void maybe_yield() {
+  if (draw(g_spec.probability, g_yield_site.fetch_add(1, std::memory_order_relaxed))) {
+    std::this_thread::yield();
+  }
+}
+
 void load_from_env() {
   std::call_once(g_env_once, [] {
     const std::string text = env::string_or("PSTLB_FAULT", "");
@@ -54,7 +71,7 @@ void load_from_env() {
                    text.c_str());
       return;
     }
-    set(parsed);
+    apply(parsed);
   });
 }
 
@@ -69,10 +86,10 @@ spec parse(std::string_view text, std::uint64_t seed) {
                             ? std::string_view{}
                             : text.substr(colon + 1));
   char* end = nullptr;
-  if (mode == "throw" || mode == "oom") {
+  if (mode == "throw" || mode == "oom" || mode == "yield") {
     const double p = std::strtod(arg.c_str(), &end);
     if (end == arg.c_str() || p < 0.0) { return spec{}; }
-    s.mode = mode == "throw" ? kind::throw_ : kind::oom;
+    s.mode = mode == "throw" ? kind::throw_ : mode == "oom" ? kind::oom : kind::yield;
     s.probability = p;
     return s;
   }
@@ -96,10 +113,10 @@ spec parse(std::string_view text, std::uint64_t seed) {
 }
 
 void set(const spec& s) {
-  g_spec = s;
-  g_alloc_site.store(0, std::memory_order_relaxed);
-  g_spawn_site.store(0, std::memory_order_relaxed);
-  detail::g_armed.store(s.mode != kind::none, std::memory_order_release);
+  // A spec set here wins over PSTLB_FAULT: consume the lazy environment parse
+  // first, or the next hook would replace this spec with the environment's.
+  std::call_once(g_env_once, [] {});
+  apply(s);
 }
 
 void set(std::string_view text) { set(parse(text)); }
@@ -111,6 +128,10 @@ const spec& active() noexcept {
 
 void on_chunk(index_t begin) {
   load_from_env();
+  if (g_spec.mode == kind::yield) {
+    maybe_yield();
+    return;
+  }
   if (g_spec.mode == kind::throw_) {
     if (draw(g_spec.probability, static_cast<std::uint64_t>(begin))) {
       throw injected_fault("pstlb: injected functor exception at chunk " +
@@ -129,6 +150,11 @@ void on_chunk(index_t begin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+}
+
+void on_wake() {
+  load_from_env();
+  if (g_spec.mode == kind::yield) { maybe_yield(); }
 }
 
 void on_alloc(std::size_t bytes) {

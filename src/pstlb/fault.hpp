@@ -13,6 +13,10 @@
 //   spawnfail:<n> only the first n spawn attempts throw — models a transient
 //                EAGAIN storm that clears, driving the bounded-backoff spawn
 //                retry (sched/worker_threads.cpp)
+//   yield:<p>    each chunk entry and each worker wake-up yields the CPU with
+//                probability p — a schedule perturbation that widens race
+//                windows in the wake/join handshake and the claim protocols
+//                without changing any result
 //
 // Decisions are a pure hash of (PSTLB_FAULT_SEED, site index), so a failing
 // run replays identically: the same chunks throw, the same allocations fail.
@@ -33,11 +37,11 @@ struct injected_fault : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-enum class kind : std::uint8_t { none, throw_, oom, stall, spawnfail };
+enum class kind : std::uint8_t { none, throw_, oom, stall, spawnfail, yield };
 
 struct spec {
   kind mode = kind::none;
-  double probability = 0.0;   // throw / oom
+  double probability = 0.0;   // throw / oom / yield
   unsigned stall_ms = 0;      // stall
   unsigned spawn_fails = 0;   // spawnfail: 0 = every attempt, n = first n only
   std::uint64_t seed = 1;
@@ -65,8 +69,13 @@ inline bool armed() noexcept {
 }
 
 /// Chunk-entry hook: throws injected_fault (throw mode, hash of `begin`
-/// decides) or stalls cooperatively (stall mode). Call only when armed().
+/// decides), stalls cooperatively (stall mode) or yields (yield mode). Call
+/// only when armed().
 void on_chunk(index_t begin);
+
+/// Worker wake-up hook (sched/thread_pool.cpp, between taking a region and
+/// running it): yields in yield mode. Call only when armed().
+void on_wake();
 
 /// Allocation hook: throws std::bad_alloc with the configured probability
 /// (oom mode; the site index is a process-wide allocation counter).

@@ -12,7 +12,7 @@
 //
 // All planning is pure (tree + participant count in, plan out) so tests can
 // exercise 2-node/8-node shapes on a single-node host. On flat topologies
-// every plan is inactive and the steal pool behaves exactly as before.
+// every plan is inactive and the steal claim behaves exactly as before.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +50,7 @@ locality_plan make_locality_plan(const numa::topology_tree& topo,
                                  unsigned participants);
 
 /// TLS hint installed by algorithm front-ends around dispatch: the loop at
-/// index i reads/writes `base + i * bytes_per_index`. The steal pool uses it
+/// index i reads/writes `base + i * bytes_per_index`. The steal claim uses it
 /// to look the allocation up in numa::page_registry and seed chunks onto the
 /// workers of the owning node. A null/zero hint (non-contiguous iterators,
 /// unregistered memory) falls back to the legacy single root seed.

@@ -9,10 +9,11 @@
 
 namespace pstlb::sched {
 
-void worker_threads::grow(unsigned count) {
+void worker_threads::grow_slow(unsigned count) {
   std::unique_lock lock(mutex_);
   const auto await_started = [&] {
     started_cv_.wait(lock, [this] { return started_ == threads_.size(); });
+    ready_.store(static_cast<unsigned>(threads_.size()), std::memory_order_release);
   };
   try {
     while (threads_.size() < count) {
@@ -61,6 +62,7 @@ void worker_threads::join_all() noexcept {
     std::lock_guard lock(mutex_);
     threads.swap(threads_);
     started_ = 0;
+    ready_.store(0, std::memory_order_release);
   }
   for (auto& thread : threads) { thread.join(); }
 }

@@ -3,8 +3,8 @@
 // The paper explains scaling gaps through aggregate hardware counters
 // (Tables 3/4); this subsystem shows *where* the overhead lives: which
 // threads sat idle, how many steal attempts failed, how chunk sizes evolved.
-// Every scheduler substrate (sched/thread_pool, sched/steal_pool,
-// sched/task_queue_pool) and chunk-executing backend records events here.
+// Every chunk-claim strategy (sched/claims) on the one worker set
+// (sched/thread_pool) and every chunk-executing backend records events here.
 //
 // Design constraints, in order:
 //   1. Trace-off cost is one relaxed atomic load + branch per hook — the

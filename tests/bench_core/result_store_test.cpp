@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -84,6 +85,27 @@ TEST_F(ResultStoreTest, ParseRejectsBadDocuments) {
                std::runtime_error);
   EXPECT_THROW(parse_json("{\"schema_version\":1,\"results\":[]}"),
                std::runtime_error);
+}
+
+TEST_F(ResultStoreTest, EnvelopeShaIsTheBuiltCommit) {
+  // The SHA is read on every build, so a build of a git checkout stamps the
+  // commit it was built from, not the one its tree was configured at.
+  const std::string cmd =
+      std::string("git -C \"") + PSTLB_SOURCE_DIR + "\" rev-parse HEAD 2>/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  char line[128] = {};
+  const bool read = std::fgets(line, sizeof line, pipe) != nullptr;
+  if (::pclose(pipe) != 0 || !read) { GTEST_SKIP() << "not built from a git checkout"; }
+  std::string head(line);
+  while (!head.empty() && (head.back() == '\n' || head.back() == '\r')) { head.pop_back(); }
+
+  const char* github = std::getenv("GITHUB_SHA");
+  const std::string saved = github != nullptr ? github : "";
+  ::unsetenv("GITHUB_SHA");
+  const run_envelope e = current_envelope("sha");
+  if (github != nullptr) { ::setenv("GITHUB_SHA", saved.c_str(), 1); }
+  EXPECT_EQ(e.git_sha, head);
 }
 
 TEST_F(ResultStoreTest, EnvelopeCapturesKnobsAndTopology) {

@@ -38,6 +38,8 @@ TEST_F(FaultWatchdog, ParseAcceptsTheDocumentedGrammar) {
   EXPECT_EQ(fault::parse("stall:200").mode, fault::kind::stall);
   EXPECT_EQ(fault::parse("stall:200").stall_ms, 200u);
   EXPECT_EQ(fault::parse("spawnfail").mode, fault::kind::spawnfail);
+  EXPECT_EQ(fault::parse("yield:0.05").mode, fault::kind::yield);
+  EXPECT_DOUBLE_EQ(fault::parse("yield:0.05").probability, 0.05);
   EXPECT_EQ(fault::parse("throw:0.5", 42).seed, 42u);
 }
 
@@ -49,6 +51,33 @@ TEST_F(FaultWatchdog, ParseRejectsGarbageAsNone) {
   EXPECT_EQ(fault::parse("stall:0").mode, fault::kind::none);
   EXPECT_EQ(fault::parse("stall:abc").mode, fault::kind::none);
   EXPECT_EQ(fault::parse("oom").mode, fault::kind::none);
+  EXPECT_EQ(fault::parse("yield").mode, fault::kind::none);
+}
+
+TEST_F(FaultWatchdog, InjectedYieldChangesNoResult) {
+  // yield perturbs the schedule only: every chunk entry and worker wake-up
+  // gives up the CPU, and every backend must still compute the same sums.
+  fault::set("yield:1");
+  std::vector<int> v(1 << 14, 1);
+  EXPECT_EQ(pstlb::reduce(pstlb::test::make_eager<pstlb::exec::fork_join_policy>(),
+                          v.begin(), v.end(), 0), 1 << 14);
+  EXPECT_EQ(pstlb::reduce(pstlb::test::make_eager<pstlb::exec::omp_dynamic_policy>(),
+                          v.begin(), v.end(), 0), 1 << 14);
+  EXPECT_EQ(pstlb::reduce(pstlb::test::make_eager<pstlb::exec::steal_policy>(),
+                          v.begin(), v.end(), 0), 1 << 14);
+  EXPECT_EQ(pstlb::reduce(pstlb::test::make_eager<pstlb::exec::task_policy>(),
+                          v.begin(), v.end(), 0), 1 << 14);
+}
+
+TEST_F(FaultWatchdog, ProgrammaticSpecWinsOverTheEnvironment) {
+  // PSTLB_FAULT is parsed lazily at the first hook; a spec set before that
+  // must not be replaced by the environment's (a test that sets spawnfail
+  // under PSTLB_FAULT=yield:p would otherwise lose its own fault).
+  ::setenv("PSTLB_FAULT", "throw:1", 1);
+  fault::set("yield:1");
+  EXPECT_NO_THROW(fault::on_chunk(0));
+  EXPECT_EQ(fault::active().mode, fault::kind::yield);
+  ::unsetenv("PSTLB_FAULT");
 }
 
 TEST_F(FaultWatchdog, InjectedThrowPropagatesAsInjectedFault) {

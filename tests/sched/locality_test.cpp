@@ -9,7 +9,7 @@
 
 #include "numa/page_registry.hpp"
 #include "numa/topology.hpp"
-#include "sched/steal_pool.hpp"
+#include "sched/claims.hpp"
 
 namespace pstlb::sched {
 namespace {
@@ -159,7 +159,7 @@ class StealLocalityEnv : public ::testing::Test {
 };
 
 TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
-  steal_pool pool(3);
+  thread_pool pool(3);
   const int n = 10000;
   std::vector<std::atomic<int>> hits(n);
   loop_context ctx;
@@ -175,7 +175,7 @@ TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
     return c % 2 == 0 ? 0u : 1u;
   };
   for (int round = 0; round < 10; ++round) {
-    pool.run(4, ctx);
+    run_claim(claim_steal, pool, 4, ctx);
     for (int i = 0; i < n; ++i) {
       ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), round + 1)
           << "index " << i;
@@ -186,7 +186,7 @@ TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
 TEST_F(StealLocalityEnv, DisableKnobFallsBackToUniform) {
   ::setenv("PSTLB_STEAL_LOCALITY", "0", 1);
   EXPECT_FALSE(steal_locality_enabled());
-  steal_pool pool(3);
+  thread_pool pool(3);
   std::atomic<long> sum{0};
   loop_context ctx;
   ctx.n = 1000;
@@ -197,12 +197,12 @@ TEST_F(StealLocalityEnv, DisableKnobFallsBackToUniform) {
     for (index_t i = b; i < e; ++i) { local += i; }
     static_cast<std::atomic<long>*>(state)->fetch_add(local);
   };
-  pool.run(4, ctx);
+  run_claim(claim_steal, pool, 4, ctx);
   EXPECT_EQ(sum.load(), 999L * 1000 / 2);
 }
 
 TEST_F(StealLocalityEnv, ExactlyOneExceptionOnLocalityPath) {
-  steal_pool pool(3);
+  thread_pool pool(3);
   std::atomic<int> throws{0};
   loop_context ctx;
   ctx.n = 10000;
@@ -222,7 +222,7 @@ TEST_F(StealLocalityEnv, ExactlyOneExceptionOnLocalityPath) {
   for (int round = 0; round < 5; ++round) {
     throws.store(0);
     try {
-      pool.run(4, ctx);
+      run_claim(claim_steal, pool, 4, ctx);
       FAIL() << "expected runtime_error";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "locality boom");

@@ -1,7 +1,8 @@
 // Partial-startup cleanup: when a pool constructor's Nth std::thread spawn
 // throws, the already-started workers must be stopped and joined before the
 // exception escapes (a joinable std::thread destructor terminates the
-// process), and a failed ensure() must leave the pool fully usable.
+// process), a failed ensure() must leave the pool fully usable, and a claim
+// whose region cannot grow the pool must throw before it ran any chunk.
 // PSTLB_FAULT=spawnfail drives every path deterministically.
 #include <gtest/gtest.h>
 
@@ -9,14 +10,25 @@
 #include <system_error>
 
 #include "pstlb/fault.hpp"
-#include "sched/steal_pool.hpp"
-#include "sched/task_queue_pool.hpp"
+#include "sched/claims.hpp"
 #include "sched/thread_pool.hpp"
 
 namespace {
 
 namespace fault = pstlb::fault;
 using pstlb::sched::loop_context;
+using pstlb::sched::run_claim;
+
+loop_context make_sum_ctx(std::atomic<int>& sum) {
+  loop_context ctx;
+  ctx.n = 100;
+  ctx.grain = 10;
+  ctx.state = &sum;
+  ctx.run = [](void* state, pstlb::index_t b, pstlb::index_t e, unsigned) {
+    static_cast<std::atomic<int>*>(state)->fetch_add(static_cast<int>(e - b));
+  };
+  return ctx;
+}
 
 class SpawnFailure : public ::testing::Test {
  protected:
@@ -33,17 +45,32 @@ TEST_F(SpawnFailure, ThreadPoolConstructorCleansUpAndThrows) {
   EXPECT_EQ(pool.worker_count(), 2u);
 }
 
-TEST_F(SpawnFailure, TaskQueuePoolConstructorCleansUpAndThrows) {
+// The backends re-run a loop sequentially after a setup failure, which is
+// only sound if the failed region ran nothing.
+TEST_F(SpawnFailure, CentralQueueRegionThatCannotSpawnRunsNothing) {
+  pstlb::sched::thread_pool pool(0, "spawn_queue");
+  std::atomic<int> sum{0};
+  const loop_context ctx = make_sum_ctx(sum);
   fault::set("spawnfail");
-  EXPECT_THROW(pstlb::sched::task_queue_pool(4), std::system_error);
+  EXPECT_THROW(run_claim(pstlb::sched::claim_central_queue, pool, 4, ctx),
+               std::system_error);
+  EXPECT_EQ(sum.load(), 0);
   fault::set(fault::spec{});
-  pstlb::sched::task_queue_pool pool(2);
-  EXPECT_EQ(pool.worker_count(), 2u);
+  run_claim(pstlb::sched::claim_central_queue, pool, 4, ctx);
+  EXPECT_EQ(sum.load(), 100);
 }
 
-TEST_F(SpawnFailure, StealPoolConstructorCleansUpAndThrows) {
+TEST_F(SpawnFailure, StealRegionThatCannotSpawnRunsNothing) {
+  pstlb::sched::thread_pool pool(0, "spawn_steal");
+  std::atomic<int> sum{0};
+  const loop_context ctx = make_sum_ctx(sum);
   fault::set("spawnfail");
-  EXPECT_THROW(pstlb::sched::steal_pool(4), std::system_error);
+  EXPECT_THROW(run_claim(pstlb::sched::claim_steal, pool, 4, ctx), std::system_error);
+  EXPECT_EQ(sum.load(), 0);
+  // Nothing was seeded, so the caller's deques hold no stale range.
+  fault::set(fault::spec{});
+  run_claim(pstlb::sched::claim_steal, pool, 4, ctx);
+  EXPECT_EQ(sum.load(), 100);
 }
 
 TEST_F(SpawnFailure, FailedEnsureLeavesThreadPoolUsable) {
@@ -83,19 +110,12 @@ TEST_F(SpawnFailure, SpawnfailCountParses) {
 }
 
 TEST_F(SpawnFailure, FailedEnsureLeavesTaskQueuePoolUsable) {
-  pstlb::sched::task_queue_pool pool(1);
+  pstlb::sched::thread_pool pool(1, "ensure_queue");
   fault::set("spawnfail");
   EXPECT_THROW(pool.ensure(4), std::system_error);
   fault::set(fault::spec{});
   std::atomic<int> sum{0};
-  loop_context ctx;
-  ctx.n = 100;
-  ctx.grain = 10;
-  ctx.state = &sum;
-  ctx.run = [](void* state, pstlb::index_t b, pstlb::index_t e, unsigned) {
-    static_cast<std::atomic<int>*>(state)->fetch_add(static_cast<int>(e - b));
-  };
-  pool.run(2, ctx);
+  run_claim(pstlb::sched::claim_central_queue, pool, 2, make_sum_ctx(sum));
   EXPECT_EQ(sum.load(), 100);
 }
 

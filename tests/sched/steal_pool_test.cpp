@@ -1,4 +1,4 @@
-#include "sched/steal_pool.hpp"
+#include "sched/claims.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,10 +27,10 @@ class SteamPoolCoverage : public ::testing::TestWithParam<std::tuple<int, int, i
 
 TEST_P(SteamPoolCoverage, EveryIndexExactlyOnce) {
   const auto [n, grain, threads] = GetParam();
-  steal_pool pool(threads - 1);
+  thread_pool pool(threads - 1);
   std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
   const loop_context ctx = make_count_ctx(n, grain, hits);
-  pool.run(static_cast<unsigned>(threads), ctx);
+  run_claim(claim_steal, pool, static_cast<unsigned>(threads), ctx);
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
   }
@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{100000, 1, 8}, std::tuple{9973, 64, 3}));
 
 TEST(StealPool, ReusableAcrossLoops) {
-  steal_pool pool(3);
+  thread_pool pool(3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<long> sum{0};
     loop_context ctx;
@@ -56,13 +56,13 @@ TEST(StealPool, ReusableAcrossLoops) {
       for (index_t i = b; i < e; ++i) { local += i; }
       static_cast<std::atomic<long>*>(state)->fetch_add(local);
     };
-    pool.run(4, ctx);
+    run_claim(claim_steal, pool, 4, ctx);
     EXPECT_EQ(sum.load(), 999L * 1000 / 2);
   }
 }
 
 TEST(StealPool, CancellationSkipsLaterChunks) {
-  steal_pool pool(3);
+  thread_pool pool(3);
   std::atomic<index_t> cancel{1 << 20};
   std::atomic<long> late_chunks{0};
 
@@ -83,7 +83,7 @@ TEST(StealPool, CancellationSkipsLaterChunks) {
     if (b > 1000 && s.cancel->load() <= 1000) { s.late_chunks->fetch_add(1); }
     if (b <= 1000 && 1000 < e) { fetch_min(*s.cancel, 1000); }
   };
-  pool.run(4, ctx);
+  run_claim(claim_steal, pool, 4, ctx);
   // Cancellation is advisory and the worker holding element 1000 may run
   // late, so how much of the range runs depends on the schedule. What holds
   // under any schedule: once a participant has seen the cancel, its next
@@ -94,7 +94,7 @@ TEST(StealPool, CancellationSkipsLaterChunks) {
 }
 
 TEST(StealPool, TidsAreWithinRange) {
-  steal_pool pool(3);
+  thread_pool pool(3);
   std::atomic<unsigned> max_tid{0};
   loop_context ctx;
   ctx.n = 10000;
@@ -105,7 +105,7 @@ TEST(StealPool, TidsAreWithinRange) {
     unsigned cur = mt.load();
     while (tid > cur && !mt.compare_exchange_weak(cur, tid)) {}
   };
-  pool.run(4, ctx);
+  run_claim(claim_steal, pool, 4, ctx);
   EXPECT_LT(max_tid.load(), 4u);
 }
 

@@ -1,4 +1,4 @@
-#include "sched/task_queue_pool.hpp"
+#include "sched/claims.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,24 +8,36 @@
 namespace pstlb::sched {
 namespace {
 
+loop_context make_chunk_counter(index_t n, index_t grain, std::atomic<int>& chunks) {
+  loop_context ctx;
+  ctx.n = n;
+  ctx.grain = grain;
+  ctx.state = &chunks;
+  ctx.run = [](void* state, index_t, index_t, unsigned) {
+    static_cast<std::atomic<int>*>(state)->fetch_add(1);
+  };
+  return ctx;
+}
+
 TEST(TaskQueuePool, SubmitAndWaitAll) {
-  task_queue_pool pool(3);
+  // One task per chunk: 100 chunks are 100 queued tasks, each run once
+  // before the region joins.
+  thread_pool pool(3);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait_all();
+  run_claim(claim_central_queue, pool, 4, make_chunk_counter(100, 1, count));
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(TaskQueuePool, WaitAllOnIdlePoolReturnsImmediately) {
-  task_queue_pool pool(2);
-  pool.wait_all();
-  SUCCEED();
+  // An empty loop queues nothing and returns without a region.
+  thread_pool pool(2);
+  std::atomic<int> count{0};
+  run_claim(claim_central_queue, pool, 3, make_chunk_counter(0, 1, count));
+  EXPECT_EQ(count.load(), 0);
 }
 
 TEST(TaskQueuePool, LoopCoversEveryIndexOnce) {
-  task_queue_pool pool(3);
+  thread_pool pool(3);
   for (const index_t n : {index_t{0}, index_t{1}, index_t{17}, index_t{4096}}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
     loop_context ctx;
@@ -36,7 +48,7 @@ TEST(TaskQueuePool, LoopCoversEveryIndexOnce) {
       auto& h = *static_cast<std::vector<std::atomic<int>>*>(state);
       for (index_t i = b; i < e; ++i) { h[static_cast<std::size_t>(i)].fetch_add(1); }
     };
-    pool.run(4, ctx);
+    run_claim(claim_central_queue, pool, 4, ctx);
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "n=" << n << " i=" << i;
     }
@@ -46,7 +58,7 @@ TEST(TaskQueuePool, LoopCoversEveryIndexOnce) {
 TEST(TaskQueuePool, SlotsAreUniquePerConcurrentWorker) {
   // More workers than participants: only slots below the participant count
   // may run the loop's chunks.
-  task_queue_pool pool(6);
+  thread_pool pool(6);
   const unsigned slots = 4;
   // Track concurrent occupancy per slot: never two chunks in the same slot
   // at the same time (the invariant reductions rely on).
@@ -73,12 +85,12 @@ TEST(TaskQueuePool, SlotsAreUniquePerConcurrentWorker) {
     while (spin.fetch_add(1, std::memory_order_relaxed) < 50) {}
     (*s.occupancy)[tid].fetch_sub(1);
   };
-  pool.run(slots, ctx);
+  run_claim(claim_central_queue, pool, slots, ctx);
   EXPECT_FALSE(collision.load());
 }
 
 TEST(TaskQueuePool, GrowsForMoreParticipants) {
-  task_queue_pool pool(1);
+  thread_pool pool(1);
   std::atomic<int> count{0};
   loop_context ctx;
   ctx.n = 1000;
@@ -87,7 +99,7 @@ TEST(TaskQueuePool, GrowsForMoreParticipants) {
   ctx.run = [](void* state, index_t b, index_t e, unsigned) {
     static_cast<std::atomic<int>*>(state)->fetch_add(static_cast<int>(e - b));
   };
-  pool.run(6, ctx);
+  run_claim(claim_central_queue, pool, 6, ctx);
   EXPECT_EQ(count.load(), 1000);
   EXPECT_GE(pool.worker_count(), 5u);
 }

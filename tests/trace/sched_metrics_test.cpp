@@ -10,7 +10,7 @@
 #include "backends/pool_backend.hpp"
 #include "counters/counters.hpp"
 #include "pstlb/pstlb.hpp"
-#include "sched/steal_pool.hpp"
+#include "sched/claims.hpp"
 #include "trace/trace.hpp"
 
 namespace pstlb::trace {
@@ -32,7 +32,7 @@ class TracedTest : public ::testing::Test {
 // least one steal attempt; a perfectly static fork-join run must produce
 // exactly zero.
 TEST_F(TracedTest, StealPoolReportsStealsUnderForcedImbalance) {
-  sched::steal_pool pool(3);
+  sched::thread_pool pool(3);
   sched::loop_context ctx;
   ctx.n = 8;
   ctx.grain = 1;  // 8 chunks; chunk 0 is deliberately fat
@@ -41,7 +41,7 @@ TEST_F(TracedTest, StealPoolReportsStealsUnderForcedImbalance) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   };
-  pool.run(4, ctx);
+  sched::run_claim(sched::claim_steal, pool, 4, ctx);
   const sched_metrics w = window();
   EXPECT_GE(w.total(sched_counter::steals_ok) + w.total(sched_counter::steals_failed), 1u)
       << "a 50ms fat chunk must leave the other participants stealing";
